@@ -23,6 +23,7 @@ from .errors import (
     DimensionNotMultipleOf4Error,
     EquivalenceViolationError,
     InconsistentOracleError,
+    InvalidVectorError,
     LineStructureMismatchError,
     NonUniqueSolutionError,
     NotAntiInvolutionError,

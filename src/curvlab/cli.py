@@ -25,7 +25,7 @@ from .constructions import (
     reconstruct_from_jacobi,
     twistor_point_model,
 )
-from .errors import CurvlabError, NotCompatibleError, QNotConstantError, QNotZeroError
+from .errors import CurvlabError, InvalidVectorError, NotCompatibleError, QNotConstantError, QNotZeroError
 from .identities import (
     check_compatibility,
     check_gray_yano,
@@ -198,6 +198,23 @@ def _cmd_check(args) -> dict:
     }
 
 
+def _unit_vector(text: str) -> np.ndarray:
+    """Parse a comma-separated vector and normalize it; reject what spans no line."""
+    try:
+        vec = np.asarray([float(t) for t in text.split(",")], dtype=float)
+    except ValueError:
+        raise InvalidVectorError(
+            f"--at expects \"sweep\" or comma-separated numbers, got {text!r}"
+        ) from None
+    if not np.all(np.isfinite(vec)):
+        raise InvalidVectorError(f"--at vector {text!r} has a non-finite entry")
+    scale = float(np.max(np.abs(vec)))
+    if scale == 0.0:
+        raise InvalidVectorError(f"--at vector {text!r} is zero and spans no line")
+    vec = vec / scale  # keeps the norm below from overflowing
+    return vec / np.linalg.norm(vec)
+
+
 def _cmd_spectra(args) -> dict:
     loaded = load_model(args.model, tol=args.tol)
     model = loaded.model
@@ -216,8 +233,7 @@ def _cmd_spectra(args) -> dict:
             pretty = ", ".join(f"{v:.6g} (x{mult})" for v, mult in spec)
             lines_out.append(f"  line {index:>3}: {pretty}")
     else:
-        vec = np.asarray([float(t) for t in args.at.split(",")], dtype=float)
-        vec = vec / np.linalg.norm(vec)
+        vec = _unit_vector(args.at)
         spec = merged_spectrum(jacobi(model.tensor, vec))
         spectra.append({"vector": vec.tolist(), "eigenvalues": [[v, mult] for v, mult in spec]})
         lines_out.append("  jacobi: " + ", ".join(f"{v:.6g} (x{mult})" for v, mult in spec))

@@ -33,6 +33,10 @@ class DimensionMismatchError(CurvlabError):
     pass
 
 
+class InvalidVectorError(CurvlabError):
+    """A vector given on input is unparseable, has a non-finite entry, or is zero."""
+
+
 class SymmetryViolationError(CurvlabError):
     """A rank-4 array fails the curvature symmetries in strict mode."""
 

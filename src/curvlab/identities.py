@@ -533,7 +533,9 @@ def subspace_coordinate_basis(
         for defect in _CONSTRAINT_DEFECTS[tag](stacked, structure.matrix):
             blocks.append(defect.reshape(basis.count, -1))
     design = np.concatenate(blocks, axis=1).T  # rows: constraint entries, cols: coordinates
-    _, svals, vh = np.linalg.svd(design, full_matrices=True)
+    # design has more rows (m^4 per tag) than columns, so the thin vh is square
+    # and already holds the whole right singular basis
+    _, svals, vh = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
     result = _freeze(vh[rank:])
     _subspace_cache[key] = result

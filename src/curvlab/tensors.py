@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -202,31 +203,74 @@ class CurvatureBasis:
         return self.from_coordinates(coords)
 
 
+# The eight index images of a pair entry (ij, kl) and their signs under
+# first-pair antisymmetry, second-pair antisymmetry and pair swap.
+_PAIR_ENTRY_IMAGES = (
+    ((0, 1, 2, 3), 1.0),
+    ((1, 0, 2, 3), -1.0),
+    ((0, 1, 3, 2), -1.0),
+    ((1, 0, 3, 2), 1.0),
+    ((2, 3, 0, 1), 1.0),
+    ((3, 2, 0, 1), -1.0),
+    ((2, 3, 1, 0), -1.0),
+    ((3, 2, 1, 0), 1.0),
+)
+
+
 @lru_cache(maxsize=None)
 def curvature_space_basis(m: int) -> CurvatureBasis:
-    """Solve the symmetry constraints over the m^4 unknowns and return their nullspace.
+    """Closed-form orthonormal basis of the space of curvature tensors.
 
-    The three families (first-pair antisymmetry, pair swap, first Bianchi) are
-    stacked as one linear system whose nullspace is computed by SVD; the count
-    is checked against m^2 (m^2 - 1) / 12.
+    In pair coordinates R_{ij,kl} (i < j, k < l) the symmetries leave a
+    symmetric matrix over pairs on which the first Bianchi identity is one
+    relation R_{ij,kl} - R_{ik,jl} + R_{il,jk} = 0 per 4-subset i<j<k<l.  The
+    rows are: one per diagonal pair entry (4 tensor entries of weight 1/2);
+    one per off-diagonal pair entry whose pairs share an index (8 entries of
+    weight 1/sqrt 8); and, per 4-subset, two orthonormal vectors of the
+    Bianchi plane over its three pair entries.  Distinct pair entries touch
+    disjoint tensor entries, so the rows are orthonormal in the m^4 inner
+    product; the count is checked against m^2 (m^2 - 1) / 12.
     """
-    m4 = m**4
-    idx = np.arange(m4).reshape(m, m, m, m)
-    rows = np.arange(m4)
-    constraints = np.zeros((3 * m4, m4))
-    constraints[rows, rows] += 1.0
-    constraints[rows, idx.transpose(1, 0, 2, 3).ravel()] += 1.0
-    constraints[m4 + rows, rows] += 1.0
-    constraints[m4 + rows, idx.transpose(2, 3, 0, 1).ravel()] -= 1.0
-    constraints[2 * m4 + rows, rows] += 1.0
-    constraints[2 * m4 + rows, idx.transpose(1, 2, 0, 3).ravel()] += 1.0
-    constraints[2 * m4 + rows, idx.transpose(2, 0, 1, 3).ravel()] += 1.0
-    _, svals, vh = np.linalg.svd(constraints, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL * svals[0]))
-    basis = vh[rank:]
-    if basis.shape[0] != curvature_space_dim(m):
+    first, second = np.triu_indices(m, 1)
+    npairs = first.size
+    pairs = np.stack([first, second], axis=1)
+    p, q = np.triu_indices(npairs, 1)
+    # off-diagonal entries over 4 distinct indices belong to the Bianchi rows below
+    shares_index = (pairs[p, :, None] == pairs[q, None, :]).any(axis=(1, 2))
+    p, q = p[shares_index], q[shares_index]
+    quad = np.array(list(combinations(range(m), 4)), dtype=np.intp).reshape(-1, 4)
+    a, b, c, d = quad.T
+    nquad = quad.shape[0]
+    # Bianchi plane of (x, y, z) = (R_{ab,cd}, R_{ac,bd}, R_{ad,bc}), normal (1, -1, 1)
+    plane_u = 1.0 / np.sqrt(2.0)
+    plane_v = 1.0 / np.sqrt(6.0)
+    off = 1.0 / np.sqrt(8.0)
+
+    diag_rows = np.arange(npairs)
+    shared_rows = npairs + np.arange(p.size)
+    u_rows = npairs + p.size + 2 * np.arange(nquad)
+    v_rows = u_rows + 1
+    # one term per (row, pair entry): the row's coefficient on that entry's unit vector
+    terms = [
+        (diag_rows, np.stack([first, second, first, second]), np.full(npairs, 0.5)),
+        (shared_rows, np.stack([first[p], second[p], first[q], second[q]]), np.full(p.size, off)),
+        (u_rows, np.stack([a, b, c, d]), np.full(nquad, off * plane_u)),
+        (u_rows, np.stack([a, c, b, d]), np.full(nquad, off * plane_u)),
+        (v_rows, np.stack([a, b, c, d]), np.full(nquad, off * plane_v)),
+        (v_rows, np.stack([a, c, b, d]), np.full(nquad, -off * plane_v)),
+        (v_rows, np.stack([a, d, b, c]), np.full(nquad, -2.0 * off * plane_v)),
+    ]
+    rows = np.concatenate([t[0] for t in terms])
+    index = np.concatenate([t[1] for t in terms], axis=1)
+    weight = np.concatenate([t[2] for t in terms])
+    count = npairs + p.size + 2 * nquad
+    basis = np.zeros((count, m**4))
+    # a diagonal entry's images coincide in pairs with equal signs, so assignment is safe
+    for perm, sign in _PAIR_ENTRY_IMAGES:
+        basis[rows, np.ravel_multi_index(index[list(perm)], (m,) * 4)] = sign * weight
+    if count != curvature_space_dim(m):
         raise RuntimeError(
-            f"nullspace rank {basis.shape[0]} does not match the expected "
+            f"closed-form basis has {count} rows, not the expected "
             f"dimension {curvature_space_dim(m)} at m={m}"
         )
     return CurvatureBasis(m, _freeze(basis))
@@ -239,9 +283,11 @@ def random_curvature_tensor(
 ) -> AlgebraicCurvatureTensor:
     """Reproducible random curvature tensor.
 
-    By default the coordinates in the full symmetry-constraint basis are drawn
-    from a seeded standard normal; with ``generator_mix`` the output is a
-    random linear combination of the supplied generator tensors instead.
+    By default the coordinates in the closed-form orthonormal basis of
+    ``curvature_space_basis`` are drawn from a seeded standard normal, an
+    isotropic Gaussian on the space of curvature tensors; with
+    ``generator_mix`` the output is a random linear combination of the
+    supplied generator tensors instead.
     """
     rng = np.random.default_rng(seed)
     if generator_mix is not None:

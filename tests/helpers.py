@@ -54,3 +54,26 @@ def spans_equal(rows_a, rows_b, tol=1e-8):
         return True
 
     return contained(rows_a, rows_b) and contained(rows_b, rows_a)
+
+
+def constraint_nullspace_basis(m, rank_tol=1e-8):
+    """Orthonormal rows spanning the nullspace of the stacked symmetry constraints.
+
+    The three families (first-pair antisymmetry, pair swap, first Bianchi) are
+    written as one dense 3 m^4 x m^4 system and solved by SVD: a slow but
+    construction-free reference for the closed-form curvature basis.
+    """
+    m4 = m**4
+    idx = np.arange(m4).reshape(m, m, m, m)
+    rows = np.arange(m4)
+    constraints = np.zeros((3 * m4, m4))
+    constraints[rows, rows] += 1.0
+    constraints[rows, idx.transpose(1, 0, 2, 3).ravel()] += 1.0
+    constraints[m4 + rows, rows] += 1.0
+    constraints[m4 + rows, idx.transpose(2, 3, 0, 1).ravel()] -= 1.0
+    constraints[2 * m4 + rows, rows] += 1.0
+    constraints[2 * m4 + rows, idx.transpose(1, 2, 0, 3).ravel()] += 1.0
+    constraints[2 * m4 + rows, idx.transpose(2, 0, 1, 3).ravel()] += 1.0
+    _, svals, vh = np.linalg.svd(constraints, full_matrices=False)
+    rank = int(np.sum(svals > rank_tol * svals[0]))
+    return vh[rank:]

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import curvlab
 
 from curvlab import build_A0, load_model
 from curvlab.cli import main
@@ -94,6 +101,23 @@ def test_spectra_sweep_and_vector(tmp_path, capsys):
     doc = json.loads(out)
     jac = doc["spectra"][0]["eigenvalues"]
     assert jac == [[0.0, 1], [1.0, 2], [4.0, 1]]
+
+
+@pytest.mark.parametrize("at", ["0,0,0,0", "abc", "nan,0,0,1"], ids=["zero", "unparseable", "nan"])
+def test_spectra_rejects_bad_vector(tmp_path, capsys, at):
+    path = tmp_path / "fs.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvlab.cli", "spectra", str(path), "--at", at],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_reconstruct_roundtrip(tmp_path, capsys):

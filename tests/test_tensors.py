@@ -19,7 +19,8 @@ from curvlab import (
     theta_map,
     validate_or_project,
 )
-from helpers import a_phi_loop, contract
+from curvlab.tensors import symmetry_residuals
+from helpers import a_phi_loop, constraint_nullspace_basis, contract
 
 
 def test_a0_canonical_values():
@@ -115,18 +116,31 @@ def test_twistor_pullback_swaps_structures():
     np.testing.assert_allclose(pullback(theta, a).entries, expected.entries, atol=1e-12)
 
 
-@pytest.mark.parametrize("m,count", [(2, 1), (3, 6), (4, 20), (5, 50), (6, 105)])
+@pytest.mark.parametrize(
+    "m,count",
+    [(2, 1), (3, 6), (4, 20), (5, 50), (6, 105), (7, 196), (8, 336), (9, 540), (10, 825)],
+)
 def test_basis_counts(m, count):
     basis = curvature_space_basis(m)
     assert basis.count == count == curvature_space_dim(m)
 
 
 def test_basis_rows_orthonormal_and_valid():
-    basis = curvature_space_basis(4)
-    gram = basis.matrix @ basis.matrix.T
-    np.testing.assert_allclose(gram, np.eye(basis.count), atol=1e-12)
-    for row in basis.tensors[:5]:
-        validate_or_project(row, "strict")
+    for m in range(2, 9):
+        basis = curvature_space_basis(m)
+        gram = basis.matrix @ basis.matrix.T
+        np.testing.assert_allclose(gram, np.eye(basis.count), atol=1e-12)
+        for row in basis.tensors:
+            for worst, _ in symmetry_residuals(row).values():
+                assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_basis_projector_matches_constraint_nullspace(m):
+    closed = curvature_space_basis(m).matrix
+    oracle = constraint_nullspace_basis(m)
+    assert oracle.shape == closed.shape
+    np.testing.assert_allclose(closed.T @ closed, oracle.T @ oracle, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))
