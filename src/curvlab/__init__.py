@@ -32,6 +32,7 @@ from .errors import (
     NotOrthogonalError,
     NotSquareError,
     OddDimensionError,
+    PreconditionError,
     QNotConstantError,
     QNotZeroError,
     SparseEntryConflictError,
@@ -39,17 +40,18 @@ from .errors import (
     UnknownConstraintTagError,
 )
 from .identities import (
-    GrayClassification,
+    CHECKS,
     IdentityReport,
     check_compatibility,
     check_gray_yano,
     check_sato,
+    check_symmetries,
     check_vanhecke,
     gray_classify,
-    is_compatible,
     lemma23_battery,
     p2_map,
     project_to_constraints,
+    run_check,
     subspace_dimension,
     subspace_tensor_basis,
 )

@@ -25,16 +25,8 @@ from .constructions import (
     reconstruct_from_jacobi,
     twistor_point_model,
 )
-from .errors import CurvlabError, InvalidVectorError, NotCompatibleError, QNotConstantError, QNotZeroError
-from .identities import (
-    check_compatibility,
-    check_gray_yano,
-    check_sato,
-    check_vanhecke,
-    gray_classify,
-    lemma23_battery,
-    subspace_dimension,
-)
+from .errors import CurvlabError, InvalidVectorError
+from .identities import CHECKS, run_check, subspace_dimension
 from .modelio import load_matrix, load_model, save_model
 from .operators import complex_jacobi, jacobi, merged_spectrum
 from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure
@@ -44,18 +36,6 @@ from .tensors import (
     build_APhi,
     pullback,
     random_curvature_tensor,
-    symmetry_residuals,
-)
-
-IDENTITY_NAMES = (
-    "symmetries",
-    "compatibility",
-    "vanhecke",
-    "sato1",
-    "sato2",
-    "lemma23",
-    "gray-classify",
-    "gray-yano",
 )
 
 BUILD_KINDS = ("a0", "fubini-study", "counterexample", "twistor", "random")
@@ -105,47 +85,6 @@ def _emit(report: dict, output: str) -> None:
     print(f"status {report['status']}")
 
 
-def _run_identity(name: str, model: ComplexModel, tol: float, seed: int, samples: int) -> dict:
-    if name == "symmetries":
-        residuals = symmetry_residuals(model.tensor.entries)
-        worst_name = max(residuals, key=lambda k: residuals[k][0])
-        worst, quad = residuals[worst_name]
-        scale = 1.0 + model.tensor.max_abs()
-        return _result("symmetries", worst / scale <= tol, worst / scale, (worst_name,) + quad)
-    if name == "compatibility":
-        rep = check_compatibility(model, "all", tol)
-        return _result(rep.name, rep.holds, rep.worst_residual, rep.witness)
-    if name == "vanhecke":
-        try:
-            rep = check_vanhecke(model, trials=samples, seed=seed, tol=tol)
-        except NotCompatibleError as exc:
-            return _result("vanhecke", False, float("nan"), ("precondition", str(exc)))
-        return _result(rep.name, rep.holds, rep.worst_residual, rep.witness)
-    if name in ("sato1", "sato2"):
-        variant = 1 if name == "sato1" else 2
-        try:
-            rep = check_sato(model, variant, tol=tol)
-        except (NotCompatibleError, QNotConstantError, QNotZeroError) as exc:
-            return _result(name, False, float("nan"), ("precondition", str(exc)))
-        return _result(rep.name, rep.holds, rep.worst_residual, rep.witness)
-    if name == "lemma23":
-        rep = lemma23_battery(model, tol)
-        return _result(rep.name, rep.holds, rep.worst_residual, rep.witness)
-    if name == "gray-classify":
-        cls = gray_classify(model, tol)
-        witness = [
-            ["a1", cls.in_a1],
-            ["a2", cls.in_a2],
-            ["a3", cls.in_a3],
-            ["a2perp", cls.in_a2perp],
-        ]
-        return _result("gray-classify", cls.in_a3, cls.residuals["a3"], witness)
-    if name == "gray-yano":
-        rep = check_gray_yano(model.tensor, model.structure, tol)
-        return _result(rep.name, rep.holds, rep.worst_residual, rep.witness)
-    raise CurvlabError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
-
-
 def _cmd_build(args) -> dict:
     m = args.m
     seed = args.seed
@@ -186,10 +125,10 @@ def _cmd_build(args) -> dict:
 
 def _cmd_check(args) -> dict:
     loaded = load_model(args.model, tol=args.tol)
-    results = [
-        _run_identity(name, loaded.model, args.tol, args.seed, args.samples)
-        for name in args.identities
+    reports = [
+        run_check(name, loaded.model, args.tol, args.seed, args.samples) for name in args.identities
     ]
+    results = [_result(r.name, r.holds, r.worst_residual, r.witness) for r in reports]
     status = 0 if all(r["holds"] for r in results) else 1
     return {
         "command": f"check {args.model} " + " ".join(args.identities),
@@ -381,8 +320,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name in getattr(args, "identities", ()):
-        if name not in IDENTITY_NAMES:
-            print(f"error: unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}", file=sys.stderr)
+        if name not in CHECKS:
+            print(f"error: unknown identity {name!r}; known: {', '.join(CHECKS)}", file=sys.stderr)
             return 2
     try:
         report = args.func(args)

@@ -50,15 +50,21 @@ class LineStructureMismatchError(CurvlabError):
     pass
 
 
-class NotCompatibleError(CurvlabError):
+class PreconditionError(CurvlabError):
+    """A check's identity is only claimed under a condition the model fails.
+
+    The check registry reports it as a failed check, not as bad input."""
+
+
+class NotCompatibleError(PreconditionError):
     pass
 
 
-class QNotConstantError(CurvlabError):
+class QNotConstantError(PreconditionError):
     pass
 
 
-class QNotZeroError(CurvlabError):
+class QNotZeroError(PreconditionError):
     pass
 
 

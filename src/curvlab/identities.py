@@ -18,6 +18,7 @@ from .errors import (
     EquivalenceViolationError,
     NotCompatibleError,
     NotInA3Error,
+    PreconditionError,
     QNotConstantError,
     QNotZeroError,
     UnknownConstraintTagError,
@@ -37,6 +38,7 @@ from .tensors import (
     build_A0,
     build_APhi,
     curvature_space_basis,
+    symmetry_residuals,
 )
 
 
@@ -54,17 +56,6 @@ class IdentityReport:
     witness: tuple
     tolerance: float
     details: Mapping | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class GrayClassification:
-    """Membership of a tensor in the nested J-identity subspaces."""
-
-    in_a1: bool
-    in_a2: bool
-    in_a3: bool
-    in_a2perp: bool
-    residuals: Mapping[str, float]
 
 
 _OUT_LETTER = {"x": "i", "y": "j", "z": "k", "w": "l"}
@@ -194,6 +185,29 @@ def _worst_over_lines(lines, evaluate: Callable, scale: float) -> tuple[float, t
     return worst, witness
 
 
+def _condition(worst: float, witness: tuple, tol: float) -> dict:
+    """One sub-condition of a battery: its verdict, residual and witness."""
+    return {"holds": bool(worst <= tol), "residual": worst, "witness": witness}
+
+
+def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
+    """Antisymmetry, pair swap and the first Bianchi identity on all basis quadruples.
+
+    The witness names the worst family and the quadruple where it is worst.
+    """
+    residuals = symmetry_residuals(model.tensor.entries)
+    family = max(residuals, key=lambda k: residuals[k][0])
+    worst, quadruple = residuals[family]
+    worst /= _scale(model.tensor.entries)
+    return IdentityReport(
+        name="symmetries",
+        holds=bool(worst <= tol),
+        worst_residual=worst,
+        witness=(family,) + quadruple,
+        tolerance=tol,
+    )
+
+
 def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_TOL) -> IdentityReport:
     """The three equivalent compatibility conditions of a complex model.
 
@@ -232,11 +246,7 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
             )
         else:
             raise ValueError(f"unknown compatibility condition {which!r}")
-        results[f"condition_{cond}"] = {
-            "holds": bool(worst <= tol),
-            "residual": worst,
-            "witness": witness,
-        }
+        results[f"condition_{cond}"] = _condition(worst, witness, tol)
     booleans = [r["holds"] for r in results.values()]
     if which == "all" and len(set(booleans)) > 1:
         raise EquivalenceViolationError(
@@ -254,8 +264,13 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
     )
 
 
-def is_compatible(model: ComplexModel, tol: float = DEFAULT_TOL) -> bool:
-    return check_compatibility(model, "all", tol).holds
+def _require_compatible(model: ComplexModel, tol: float) -> None:
+    gate = check_compatibility(model, "all", tol)
+    if not gate.holds:
+        raise NotCompatibleError(
+            f"model is not compatible (residual {gate.worst_residual:.3e}); "
+            "the identity is only claimed for compatible models"
+        )
 
 
 def _q_batch(a, jmat, vectors):
@@ -281,12 +296,7 @@ def check_vanhecke(
     the non-unit arguments x + Jy, x - Jy, x + y, x - y.  Evaluated on all
     basis pairs plus ``trials`` seeded random unit pairs.
     """
-    gate = check_compatibility(model, "all", tol)
-    if not gate.holds:
-        raise NotCompatibleError(
-            f"model is not compatible (residual {gate.worst_residual:.3e}); "
-            "the identity is only claimed for compatible models"
-        )
+    _require_compatible(model, tol)
     m = model.dim
     a = model.tensor.entries
     jmat = model.structure.matrix
@@ -334,11 +344,7 @@ def check_sato(
     lines and uses the measured value when ``c`` is not supplied.  Variant 2 is
     the constant-zero-Q identity and requires Q identically zero on the lines.
     """
-    gate = check_compatibility(model, "all", tol)
-    if not gate.holds:
-        raise NotCompatibleError(
-            f"model is not compatible (residual {gate.worst_residual:.3e})"
-        )
+    _require_compatible(model, tol)
     a = model.tensor.entries
     scale = _scale(a)
     q_values = np.array(
@@ -385,30 +391,22 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     worst, witness = _worst_over_lines(
         lines, lambda ln: complex_jacobi(model.tensor, model.structure, ln).matrix, scale
     )
-    conditions["a_complex_jacobi_zero"] = {"holds": bool(worst <= tol), "residual": worst, "witness": witness}
+    conditions["a_complex_jacobi_zero"] = _condition(worst, witness, tol)
 
     worst, quadruple = _worst_entry(_a2perp_defect(a, jmat))
-    worst /= scale
-    conditions["b_pairwise_J_flip"] = {
-        "holds": bool(worst <= tol),
-        "residual": worst,
-        "witness": ("quadruple",) + quadruple,
-    }
+    conditions["b_pairwise_J_flip"] = _condition(worst / scale, ("quadruple",) + quadruple, tol)
 
     worst, witness = _worst_over_lines(
         lines, lambda ln: complex_curvature_operator(model.tensor, model.structure, ln).matrix, scale
     )
-    conditions["c_complex_curvature_zero"] = {"holds": bool(worst <= tol), "residual": worst, "witness": witness}
+    conditions["c_complex_curvature_zero"] = _condition(worst, witness, tol)
 
     d1, d2 = _hop_defects(a, jmat)
     worst1, q1 = _worst_entry(d1)
     worst2, q2 = _worst_entry(d2)
-    worst = max(worst1, worst2) / scale
-    conditions["d_slot_hopping"] = {
-        "holds": bool(worst <= tol),
-        "residual": worst,
-        "witness": ("quadruple",) + (q1 if worst1 >= worst2 else q2),
-    }
+    conditions["d_slot_hopping"] = _condition(
+        max(worst1, worst2) / scale, ("quadruple",) + (q1 if worst1 >= worst2 else q2), tol
+    )
 
     booleans = [cond["holds"] for cond in conditions.values()]
     if len(set(booleans)) > 1:
@@ -440,8 +438,13 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     )
 
 
-def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> GrayClassification:
-    """Membership residuals for the three nested subspaces and the flip subspace."""
+def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
+    """Membership of the tensor in the nested subspaces a1 < a2 < a3 and the flip subspace a2perp.
+
+    The report holds when the tensor lies in a3 and carries the a3 residual;
+    the witness lists a ``(class, member)`` pair per subspace and ``details``
+    maps each subspace to its membership residual.
+    """
     a = model.tensor.entries
     jmat = model.structure.matrix
     scale = _scale(a)
@@ -451,12 +454,13 @@ def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> GrayClassifi
         "a3": _worst_entry(_a3_defect(a, jmat))[0] / scale,
         "a2perp": _worst_entry(_a2perp_defect(a, jmat))[0] / scale,
     }
-    return GrayClassification(
-        in_a1=bool(residuals["a1"] <= tol),
-        in_a2=bool(residuals["a2"] <= tol),
-        in_a3=bool(residuals["a3"] <= tol),
-        in_a2perp=bool(residuals["a2perp"] <= tol),
-        residuals=residuals,
+    return IdentityReport(
+        name="gray-classify",
+        holds=bool(residuals["a3"] <= tol),
+        worst_residual=residuals["a3"],
+        witness=tuple((cls, bool(r <= tol)) for cls, r in residuals.items()),
+        tolerance=tol,
+        details=residuals,
     )
 
 
@@ -494,15 +498,51 @@ def check_gray_yano(
     return _tensor_report("gray-yano", defect, _scale(tensor.entries), tol)
 
 
+# The check catalogue behind ``curvlab check``: name -> (model, tol, seed,
+# samples) -> report.  Each entry looks its check up by module-level name at
+# call time, so rebinding a check function in this module also reroutes it.
+CHECKS: dict[str, Callable[..., IdentityReport]] = {
+    "symmetries": lambda model, tol, seed, samples: check_symmetries(model, tol),
+    "compatibility": lambda model, tol, seed, samples: check_compatibility(model, "all", tol),
+    "vanhecke": lambda model, tol, seed, samples: check_vanhecke(model, trials=samples, seed=seed, tol=tol),
+    "sato1": lambda model, tol, seed, samples: check_sato(model, 1, tol=tol),
+    "sato2": lambda model, tol, seed, samples: check_sato(model, 2, tol=tol),
+    "lemma23": lambda model, tol, seed, samples: lemma23_battery(model, tol),
+    "gray-classify": lambda model, tol, seed, samples: gray_classify(model, tol),
+    "gray-yano": lambda model, tol, seed, samples: check_gray_yano(model.tensor, model.structure, tol),
+}
+
+
+def run_check(
+    name: str, model: ComplexModel, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 0
+) -> IdentityReport:
+    """Run the registered check ``name``.
+
+    A model outside the identity's claim (not compatible, or Q not constant or
+    not zero where required) gives a failed report with a NaN residual and the
+    witness ``("precondition", message)``.
+    """
+    try:
+        return CHECKS[name](model, tol, seed, samples)
+    except PreconditionError as exc:
+        return IdentityReport(
+            name=name,
+            holds=False,
+            worst_residual=float("nan"),
+            witness=("precondition", str(exc)),
+            tolerance=tol,
+        )
+
+
 CONSTRAINT_TAGS = ("a1", "a2", "a3", "a2perp", "gray-yano", "compatibility")
 
 _CONSTRAINT_DEFECTS: dict[str, Callable] = {
-    "a1": lambda a, j: (_a1_defect(a, j),),
-    "a2": lambda a, j: (_a2_defect(a, j),),
-    "a3": lambda a, j: (_a3_defect(a, j),),
-    "compatibility": lambda a, j: (_a3_defect(a, j),),
-    "a2perp": lambda a, j: (_a2perp_defect(a, j),),
-    "gray-yano": lambda a, j: (_gray_defect(a, j),),
+    "a1": _a1_defect,
+    "a2": _a2_defect,
+    "a3": _a3_defect,
+    "compatibility": _a3_defect,
+    "a2perp": _a2perp_defect,
+    "gray-yano": _gray_defect,
 }
 
 _subspace_cache: dict = {}
@@ -528,10 +568,7 @@ def subspace_coordinate_basis(
         _subspace_cache[key] = result
         return result
     stacked = basis.tensors  # (count, m, m, m, m); defects broadcast over the batch axis
-    blocks = []
-    for tag in tags:
-        for defect in _CONSTRAINT_DEFECTS[tag](stacked, structure.matrix):
-            blocks.append(defect.reshape(basis.count, -1))
+    blocks = [_CONSTRAINT_DEFECTS[tag](stacked, structure.matrix).reshape(basis.count, -1) for tag in tags]
     design = np.concatenate(blocks, axis=1).T  # rows: constraint entries, cols: coordinates
     # design has more rows (m^4 per tag) than columns, so the thin vh is square
     # and already holds the whole right singular basis

@@ -6,6 +6,7 @@ orthonormal basis, so structures and isometries are plain dense matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .errors import (
     CommutationError,
     DimensionMismatchError,
     DimensionNotMultipleOf4Error,
+    InvalidVectorError,
     NotAntiInvolutionError,
     NotOrthogonalError,
     NotSquareError,
@@ -185,9 +187,11 @@ def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) 
         raise DimensionMismatchError(
             f"vector of shape {x.shape} does not match dimension {structure.dim}"
         )
+    if not np.all(np.isfinite(x)):
+        raise InvalidVectorError(f"cannot span a complex line with the non-finite vector {x.tolist()}")
     nrm = float(np.linalg.norm(x))
     if nrm < 1e-12:
-        raise ValueError("cannot span a complex line with a (near-)zero vector")
+        raise InvalidVectorError("cannot span a complex line with a (near-)zero vector")
     x = x / nrm
     # Deterministic tie-break: first coordinate of visible size is made positive.
     lead = int(np.argmax(np.abs(x) > 1e-9))
@@ -198,7 +202,8 @@ def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) 
     return ComplexLine(_freeze(x), structure, _freeze(projector))
 
 
-def spanning_lines(structure: ComplexStructure) -> list[ComplexLine]:
+@functools.lru_cache(maxsize=8)
+def spanning_lines(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
     """Complex lines through e_i, (e_i + e_j)/sqrt2 and (e_i + J e_j)/sqrt2, deduplicated.
 
     Any operator- or scalar-valued map that is quadratic in the line
@@ -206,6 +211,10 @@ def spanning_lines(structure: ComplexStructure) -> list[ComplexLine]:
     the e_i values pin the diagonal coefficients and the e_i + e_j values
     polarize the mixed ones.  Candidates that degenerate to the zero vector
     (possible when J e_j = -e_i) are skipped.
+
+    Cached per structure object (structures hash by identity), so the checks
+    run on one model share one sweep; the cache is small so that a long run
+    over many models does not keep every model's lines alive.
     """
     m = structure.dim
     eye = np.eye(m)
@@ -221,7 +230,7 @@ def spanning_lines(structure: ComplexStructure) -> list[ComplexLine]:
         line = complex_line(vec, structure)
         if not any(line.same_line(kept) for kept in lines):
             lines.append(line)
-    return lines
+    return tuple(lines)
 
 
 def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import curvlab
 
 from curvlab import build_A0, load_model
 from curvlab.cli import main
+from curvlab.identities import CHECKS
 
 
 def run(capsys, *argv):
@@ -55,18 +58,24 @@ def test_build_random_is_byte_deterministic(tmp_path, capsys):
 def test_json_report_schema(tmp_path, capsys):
     path = tmp_path / "fs.json"
     run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
-    code, out, _ = run(
-        capsys, "--output", "json", "check", str(path), "gray-classify", "gray-yano"
-    )
-    assert code == 0
+    code, out, _ = run(capsys, "--output", "json", "check", str(path), *CHECKS)
+    # Fubini-Study has Q = 4, so sato2's precondition fails, and a nonzero
+    # complex Jacobi operator, so the vanishing battery fails
+    assert code == 1
     doc = json.loads(out)
     assert set(doc) >= {"command", "results", "status"}
-    assert doc["status"] == 0
+    assert doc["status"] == 1
+    assert [res["name"] for res in doc["results"]] == list(CHECKS)
     for res in doc["results"]:
         assert set(res) == {"name", "holds", "residual", "witness"}
-        assert res["holds"] is True
-    classify = next(r for r in doc["results"] if r["name"] == "gray-classify")
-    assert ["a1", True] in classify["witness"]
+        assert res["holds"] is (res["name"] not in ("sato2", "lemma23"))
+    by_name = {res["name"]: res for res in doc["results"]}
+    assert math.isnan(by_name["sato2"]["residual"])
+    assert by_name["sato2"]["witness"][0] == "precondition"
+    assert isinstance(by_name["sato2"]["witness"][1], str)
+    assert by_name["gray-classify"]["witness"] == [
+        ["a1", True], ["a2", True], ["a3", True], ["a2perp", False]
+    ]
 
 
 def test_unknown_identity_is_usage_error(tmp_path, capsys):
@@ -207,3 +216,14 @@ def test_sparse_storage_build(tmp_path, capsys):
     assert doc["A"]["storage"] == "sparse"
     loaded = load_model(path)
     np.testing.assert_allclose(loaded.model.tensor.entries, build_A0(4).entries, atol=1e-14)
+
+
+def test_model_gallery_script(tmp_path, monkeypatch, capsys):
+    # the gallery drives build, check, diff and spectra through the CLI and
+    # exits with a message on the first command that does not return 0
+    script = Path(__file__).resolve().parents[1] / "scripts" / "model_gallery.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path), "--m", "4"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    assert (tmp_path / "twistor_pullback.json").exists()

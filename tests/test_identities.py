@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvlab import (
+    CHECKS,
     AlgebraicCurvatureTensor,
     ComplexModel,
     NotCompatibleError,
@@ -22,6 +23,7 @@ from curvlab import (
     p2_map,
     project_to_constraints,
     random_curvature_tensor,
+    run_check,
     standard_complex_structure,
     subspace_dimension,
     subspace_tensor_basis,
@@ -137,15 +139,16 @@ def test_lemma23_battery_vacuous_on_zero(j4):
 
 
 def test_gray_classify_fubini_study(fs_model):
-    cls = gray_classify(fs_model)
-    assert cls.in_a1 and cls.in_a2 and cls.in_a3
-    assert not cls.in_a2perp
+    rep = gray_classify(fs_model)
+    assert rep.name == "gray-classify" and rep.holds
+    assert rep.witness == (("a1", True), ("a2", True), ("a3", True), ("a2perp", False))
+    assert rep.worst_residual == rep.details["a3"]
 
 
 def test_gray_classify_counterexample():
-    cls = gray_classify(counterexample_model(4))
-    assert cls.in_a2perp and cls.in_a3
-    assert not cls.in_a2 and not cls.in_a1
+    member = dict(gray_classify(counterexample_model(4)).witness)
+    assert member["a2perp"] and member["a3"]
+    assert not member["a2"] and not member["a1"]
 
 
 def test_gray_chain_on_random_projections(j4):
@@ -153,13 +156,13 @@ def test_gray_chain_on_random_projections(j4):
     for seed in range(40):
         tags = [["a1"], ["a2"], ["a3"], ["a2perp"]][seed % 4]
         a = project_to_constraints(random_curvature_tensor(4, seed=seed), j4, tags)
-        cls = gray_classify(ComplexModel(j4, a))
-        if cls.in_a1:
-            assert cls.in_a2
-        if cls.in_a2:
-            assert cls.in_a3
-        if cls.in_a2perp:
-            assert cls.in_a3
+        member = dict(gray_classify(ComplexModel(j4, a)).witness)
+        if member["a1"]:
+            assert member["a2"]
+        if member["a2"]:
+            assert member["a3"]
+        if member["a2perp"]:
+            assert member["a3"]
 
 
 def test_p2_fixes_a2_and_flips_a2perp(j4):
@@ -229,3 +232,34 @@ def test_a2_plus_a2perp_fill_a3(j4):
 def test_unknown_constraint_tag(j4):
     with pytest.raises(UnknownConstraintTagError):
         subspace_dimension(["nonsense"], 4, j4)
+
+
+CHECK_NAMES = (
+    "symmetries",
+    "compatibility",
+    "vanhecke",
+    "sato1",
+    "sato2",
+    "lemma23",
+    "gray-classify",
+    "gray-yano",
+)
+
+
+def test_check_registry_names():
+    assert tuple(CHECKS) == CHECK_NAMES
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_check_reports_its_name(fs_model, j4, name):
+    for model in (fs_model, ComplexModel(j4, random_curvature_tensor(4, seed=1))):
+        assert run_check(name, model).name == name
+
+
+@pytest.mark.parametrize("name", ["vanhecke", "sato1", "sato2"])
+def test_run_check_turns_precondition_into_failure(j4, name):
+    rep = run_check(name, ComplexModel(j4, random_curvature_tensor(4, seed=1)))
+    assert rep.holds is False
+    assert np.isnan(rep.worst_residual)
+    assert rep.witness[0] == "precondition"
+    assert "not compatible" in rep.witness[1]

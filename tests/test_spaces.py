@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from curvlab import (
     CommutationError,
     DimensionNotMultipleOf4Error,
+    InvalidVectorError,
     NotAntiInvolutionError,
     NotOrthogonalError,
     NotSquareError,
@@ -100,6 +101,13 @@ def test_spanning_lines_counts():
     assert len(spanning_lines(standard_complex_structure(4))) == 6
 
 
+def test_spanning_lines_cached_per_structure():
+    j = standard_complex_structure(4)
+    lines = spanning_lines(j)
+    assert isinstance(lines, tuple)
+    assert spanning_lines(j) is lines
+
+
 def test_spanning_lines_are_unit_planes():
     j = standard_complex_structure(6)
     for line in spanning_lines(j):
@@ -136,5 +144,12 @@ def test_representative_sign_canonicalization():
 
 def test_zero_vector_rejected():
     j = standard_complex_structure(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidVectorError):
         complex_line(np.zeros(4), j)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vector_rejected(bad):
+    j = standard_complex_structure(4)
+    with pytest.raises(InvalidVectorError):
+        complex_line(np.array([bad, 0.0, 0.0, 1.0]), j)
