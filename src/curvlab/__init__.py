@@ -25,6 +25,8 @@ from .errors import (
     InconsistentOracleError,
     InvalidVectorError,
     LineStructureMismatchError,
+    ModelFormatError,
+    NonFiniteEntryError,
     NonUniqueSolutionError,
     NotAntiInvolutionError,
     NotCompatibleError,

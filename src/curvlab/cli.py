@@ -49,7 +49,7 @@ def _jsonable(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return float(value) if np.isfinite(value) else None  # JSON has no NaN
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -72,7 +72,7 @@ def _result(name: str, holds: bool, residual: float, witness) -> dict:
 
 def _emit(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False))
         return
     print(report["command"])
     for res in report.get("results", ()):
@@ -257,23 +257,31 @@ def _cmd_subspace_dim(args) -> dict:
     }
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="Build, check, and compare algebraic curvature models with complex structure.",
     )
     parser.add_argument("--tol", type=float, default=_default_tol(), help="residual tolerance")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random spot checks")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for random spot checks")
     parser.add_argument(
-        "--samples", type=int, default=0, help="extra random spot checks beyond the certifying sets"
+        "--samples", type=non_negative_int, default=0,
+        help="extra random spot checks beyond the certifying sets",
     )
     parser.add_argument("--output", choices=("text", "json"), default="text")
     # The same flags are accepted after the subcommand; SUPPRESS keeps an unset
     # subcommand flag from clobbering a value parsed before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--samples", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=non_negative_int, default=argparse.SUPPRESS)
+    common.add_argument("--samples", type=non_negative_int, default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -28,7 +28,7 @@ from .identities import (
     lemma23_battery,
     subspace_coordinate_basis,
 )
-from .operators import complex_jacobi, jacobi_matrix
+from .operators import _jacobi_stack, complex_jacobi, jacobi_matrix
 from .spaces import (
     DEFAULT_TOL,
     ComplexIsometry,
@@ -41,12 +41,12 @@ from .spaces import (
     validate_complex_isometry,
 )
 from .tensors import (
-    RANK_TOL,
     AlgebraicCurvatureTensor,
     ComplexModel,
     build_A0,
     build_APhi,
     curvature_space_basis,
+    numerical_rank,
     pullback,
 )
 
@@ -106,17 +106,28 @@ def twistor_point_model(m: int) -> tuple[ComplexModel, ComplexIsometry]:
     return ComplexModel(triple.j2, tensor), theta_map(triple)
 
 
-def _jacobi_rows(tensors_4d: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Jacobi matrices of a stack of tensors at x, shape (count, m, m)."""
-    return np.einsum("tbija,i,j->tab", tensors_4d, x, x, optimize=True)
-
-
-def _probe_vectors(m: int) -> list[np.ndarray]:
+def _probe_vectors(m: int) -> np.ndarray:
     # J(x) is quadratic in x, so values at e_i and e_i + e_j polarize everything.
     eye = np.eye(m)
-    probes = [eye[i] for i in range(m)]
-    probes += [eye[i] + eye[j] for i in range(m) for j in range(i + 1, m)]
-    return probes
+    first, second = np.triu_indices(m, 1)
+    return np.vstack([eye, eye[first] + eye[second]])
+
+
+def _oracle_targets(values, m: int) -> np.ndarray:
+    """The oracle's m x m answers, raveled and concatenated in query order."""
+    targets = []
+    for value in values:
+        target = np.asarray(value, dtype=float)
+        if target.shape != (m, m):
+            raise DimensionMismatchError(f"oracle returned shape {target.shape}, expected {(m, m)}")
+        targets.append(target.ravel())
+    return np.concatenate(targets)
+
+
+def _check_fit(design, coeffs, rhs, tol: float, meaning: str) -> None:
+    residual = float(np.max(np.abs(design @ coeffs - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
+    if residual > tol:
+        raise InconsistentOracleError(f"fitted residual {residual:.3e} exceeds {tol:.1e}; {meaning}")
 
 
 def reconstruct_from_jacobi(
@@ -134,26 +145,12 @@ def reconstruct_from_jacobi(
     if m < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {m}")
     basis = curvature_space_basis(m)
-    stacked = basis.tensors
-    blocks = []
-    targets = []
-    for x in _probe_vectors(m):
-        blocks.append(_jacobi_rows(stacked, x).reshape(basis.count, -1).T)
-        target = np.asarray(oracle.evaluate(x), dtype=float)
-        if target.shape != (m, m):
-            raise DimensionMismatchError(
-                f"oracle returned shape {target.shape}, expected {(m, m)}"
-            )
-        targets.append(target.ravel())
-    design = np.vstack(blocks)
-    rhs = np.concatenate(targets)
+    probes = _probe_vectors(m)
+    # one row block per probe x: the Jacobi matrices of every basis tensor at x
+    design = _jacobi_stack(basis.tensors, probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
+    rhs = _oracle_targets((oracle.evaluate(x) for x in probes), m)
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
-    if residual > tol:
-        raise InconsistentOracleError(
-            f"fitted residual {residual:.3e} exceeds {tol:.1e}; "
-            "the oracle is not the Jacobi field of any curvature tensor"
-        )
+    _check_fit(design, coeffs, rhs, tol, "the oracle is not the Jacobi field of any curvature tensor")
     return basis.from_coordinates(coeffs)
 
 
@@ -167,6 +164,7 @@ def reconstruct_from_complex_jacobi(
     tensor uniquely (the subspace meets the flip subspace only in zero).
     Dropping that restriction loses uniqueness: the quaternionic counterexample
     has vanishing complex Jacobi data, so its oracle fits the zero tensor here.
+    One thin SVD of the design gives both its rank and the solution.
     """
     structure = oracle.structure
     m = structure.dim
@@ -175,36 +173,22 @@ def reconstruct_from_complex_jacobi(
     free = sub.shape[0]
     if free == 0:
         raise NonUniqueSolutionError("the identity subspace is trivial; nothing to fit")
+    lines = spanning_lines(structure)
     sub_tensors = (sub @ basis.matrix).reshape(free, m, m, m, m)
-    blocks = []
-    targets = []
-    for line in spanning_lines(structure):
-        x = line.representative
-        jx = structure.apply(x)
-        rows = (_jacobi_rows(sub_tensors, x) + _jacobi_rows(sub_tensors, jx)).reshape(free, -1).T
-        blocks.append(rows)
-        target = np.asarray(oracle.evaluate(line), dtype=float)
-        if target.shape != (m, m):
-            raise DimensionMismatchError(
-                f"oracle returned shape {target.shape}, expected {(m, m)}"
-            )
-        targets.append(target.ravel())
-    design = np.vstack(blocks)
-    rhs = np.concatenate(targets)
-    svals = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals[0] > 0 else 0
+    # one row block per line: J(x) + J(Jx) of every subspace tensor, through the line projector
+    design = _jacobi_stack(sub_tensors, np.array([line.projector for line in lines])).reshape(free, -1).T
+    rhs = _oracle_targets((oracle.evaluate(line) for line in lines), m)
+    u, svals, vh = np.linalg.svd(design, full_matrices=False)
+    rank = numerical_rank(svals)
     if rank < free:
         raise NonUniqueSolutionError(
             f"design rank {rank} < {free} free coordinates; the oracle does not pin "
             "down a unique tensor in the identity subspace"
         )
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
-    if residual > tol:
-        raise InconsistentOracleError(
-            f"fitted residual {residual:.3e} exceeds {tol:.1e}; no tensor in the "
-            "identity subspace has these complex Jacobi operators"
-        )
+    coeffs = vh.T @ ((u.T @ rhs) / svals)
+    _check_fit(
+        design, coeffs, rhs, tol, "no tensor in the identity subspace has these complex Jacobi operators"
+    )
     return basis.from_coordinates(sub.T @ coeffs)
 
 

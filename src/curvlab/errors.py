@@ -37,6 +37,14 @@ class InvalidVectorError(CurvlabError):
     """A vector given on input is unparseable, has a non-finite entry, or is zero."""
 
 
+class NonFiniteEntryError(CurvlabError):
+    """An array given on input has a NaN or infinite entry."""
+
+
+class ModelFormatError(CurvlabError):
+    """A model file does not follow the model-file schema."""
+
+
 class SymmetryViolationError(CurvlabError):
     """A rank-4 array fails the curvature symmetries in strict mode."""
 

@@ -9,7 +9,8 @@ free; the default tolerance is 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,6 +25,9 @@ from .errors import (
     UnknownConstraintTagError,
 )
 from .operators import (
+    _lambda_batch,
+    _q_batch,
+    _quartic_batch,
     complex_curvature_operator,
     complex_jacobi,
     q_quartic,
@@ -32,12 +36,12 @@ from .operators import (
 )
 from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, random_unit_vector, spanning_lines
 from .tensors import (
-    RANK_TOL,
     AlgebraicCurvatureTensor,
     ComplexModel,
     build_A0,
     build_APhi,
     curvature_space_basis,
+    numerical_rank,
     symmetry_residuals,
 )
 
@@ -161,33 +165,48 @@ def _worst_entry(defect: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(np.max(np.abs(defect))), tuple(int(v) for v in idx)
 
 
-def _tensor_report(name, defect, scale, tol, extra=None) -> IdentityReport:
-    worst, quadruple = _worst_entry(defect)
-    worst /= scale
-    return IdentityReport(
-        name=name,
-        holds=bool(worst <= tol),
-        worst_residual=worst,
-        witness=("quadruple",) + quadruple,
-        tolerance=tol,
-        details=extra,
-    )
-
-
-def _worst_over_lines(lines, evaluate: Callable, scale: float) -> tuple[float, tuple]:
-    worst = 0.0
-    witness: tuple = ("line", 0, ())
-    for index, line in enumerate(lines):
-        r = float(np.max(np.abs(evaluate(line)))) / scale
-        if r >= worst:
-            worst = r
-            witness = ("line", index, tuple(line.representative.tolist()))
-    return worst, witness
+def _line_operators(operator: Callable, model: ComplexModel, lines) -> np.ndarray:
+    """The (L, m, m) stack of an operator's matrices on the lines, one call per line."""
+    return np.array([operator(model.tensor, model.structure, line).matrix for line in lines])
 
 
 def _condition(worst: float, witness: tuple, tol: float) -> dict:
     """One sub-condition of a battery: its verdict, residual and witness."""
     return {"holds": bool(worst <= tol), "residual": worst, "witness": witness}
+
+
+def _line_condition(lines, stack: np.ndarray, scale: float, tol: float) -> dict:
+    """Worst normalized max-entry over an (L, m, m) stack; ties go to the last line."""
+    residuals = np.max(np.abs(stack), axis=(1, 2)) / scale
+    index = len(lines) - 1 - int(np.argmax(residuals[::-1]))
+    witness = ("line", index, tuple(lines[index].representative.tolist()))
+    return _condition(float(residuals[index]), witness, tol)
+
+
+def _quadruple_condition(defect: np.ndarray, scale: float, tol: float) -> dict:
+    worst, quadruple = _worst_entry(defect)
+    return _condition(worst / scale, ("quadruple",) + quadruple, tol)
+
+
+def _tensor_report(name, defect, scale, tol, extra=None) -> IdentityReport:
+    cond = _quadruple_condition(defect, scale, tol)
+    return IdentityReport(name, cond["holds"], cond["residual"], cond["witness"], tol, extra)
+
+
+def _battery(name: str, conditions: dict[str, dict], tol: float) -> IdentityReport:
+    """Report on provably equivalent conditions, witnessed by the worst one.
+
+    The conditions must agree; disagreement raises, as it can only be an
+    implementation bug.
+    """
+    booleans = [cond["holds"] for cond in conditions.values()]
+    if len(set(booleans)) > 1:
+        raise EquivalenceViolationError(
+            f"{name} conditions disagree: "
+            + ", ".join(f"{k}={cond['holds']}" for k, cond in conditions.items())
+        )
+    worst = max(conditions.values(), key=lambda cond: cond["residual"])
+    return IdentityReport(name, all(booleans), worst["residual"], worst["witness"], tol, conditions)
 
 
 def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -225,65 +244,32 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
     results: dict[str, dict] = {}
     for cond in requested:
         if cond == 1:
-            worst, quadruple = _worst_entry(_a3_defect(a, jmat))
-            worst /= scale
-            witness: tuple = ("quadruple",) + quadruple
-        elif cond == 2:
-            worst, witness = _worst_over_lines(
-                lines,
-                lambda ln: (lambda op: op @ jmat - jmat @ op)(
-                    complex_jacobi(model.tensor, model.structure, ln).matrix
-                ),
-                scale,
-            )
-        elif cond == 3:
-            worst, witness = _worst_over_lines(
-                lines,
-                lambda ln: (lambda op: op @ jmat - jmat @ op)(
-                    complex_curvature_operator(model.tensor, model.structure, ln).matrix
-                ),
-                scale,
-            )
+            results["condition_1"] = _quadruple_condition(_a3_defect(a, jmat), scale, tol)
+        elif cond in (2, 3):
+            ops = _line_operators(complex_jacobi if cond == 2 else complex_curvature_operator, model, lines)
+            results[f"condition_{cond}"] = _line_condition(lines, ops @ jmat - jmat @ ops, scale, tol)
         else:
             raise ValueError(f"unknown compatibility condition {which!r}")
-        results[f"condition_{cond}"] = _condition(worst, witness, tol)
-    booleans = [r["holds"] for r in results.values()]
-    if which == "all" and len(set(booleans)) > 1:
-        raise EquivalenceViolationError(
-            f"compatibility conditions disagree: "
-            + ", ".join(f"{k}={r['holds']}" for k, r in results.items())
-        )
-    worst_key = max(results, key=lambda k: results[k]["residual"])
-    return IdentityReport(
-        name="compatibility",
-        holds=all(booleans),
-        worst_residual=results[worst_key]["residual"],
-        witness=results[worst_key]["witness"],
-        tolerance=tol,
-        details=results,
-    )
+    return _battery("compatibility", results, tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _compatibility_gate(model: ComplexModel, tol: float) -> IdentityReport:
+    """check_compatibility(model, "all", tol), run once per (model, tol).
+
+    Models hash by identity, so the checks run on one loaded model share one
+    gate; the bound keeps a long run over many models from holding them all.
+    """
+    return check_compatibility(model, "all", tol)
 
 
 def _require_compatible(model: ComplexModel, tol: float) -> None:
-    gate = check_compatibility(model, "all", tol)
+    gate = _compatibility_gate(model, tol)
     if not gate.holds:
         raise NotCompatibleError(
             f"model is not compatible (residual {gate.worst_residual:.3e}); "
             "the identity is only claimed for compatible models"
         )
-
-
-def _q_batch(a, jmat, vectors):
-    vj = vectors @ jmat.T
-    return np.einsum("ijkl,ni,nj,nk,nl->n", a, vectors, vj, vj, vectors, optimize=True)
-
-
-def _lambda_batch(a, jmat, xs, ys):
-    xj = xs @ jmat.T
-    yj = ys @ jmat.T
-    t1 = np.einsum("ijkl,ni,nj,nk,nl->n", a, xs, ys, ys, xs, optimize=True)
-    t2 = np.einsum("ijkl,ni,nj,nk,nl->n", a, xs, ys, yj, xj, optimize=True)
-    return t1 - t2
 
 
 def check_vanhecke(
@@ -310,7 +296,7 @@ def check_vanhecke(
     x_arr = np.array(xs)
     y_arr = np.array(ys)
     jy = y_arr @ jmat.T
-    lhs = 32.0 * np.einsum("ijkl,ni,nj,nk,nl->n", a, x_arr, y_arr, y_arr, x_arr, optimize=True)
+    lhs = 32.0 * _quartic_batch(a, x_arr, y_arr, y_arr, x_arr)
     rhs = (
         3.0 * _q_batch(a, jmat, x_arr + jy)
         + 3.0 * _q_batch(a, jmat, x_arr - jy)
@@ -386,56 +372,33 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     jmat = model.structure.matrix
     scale = _scale(a)
     lines = spanning_lines(model.structure)
-    conditions: dict[str, dict] = {}
-
-    worst, witness = _worst_over_lines(
-        lines, lambda ln: complex_jacobi(model.tensor, model.structure, ln).matrix, scale
-    )
-    conditions["a_complex_jacobi_zero"] = _condition(worst, witness, tol)
-
-    worst, quadruple = _worst_entry(_a2perp_defect(a, jmat))
-    conditions["b_pairwise_J_flip"] = _condition(worst / scale, ("quadruple",) + quadruple, tol)
-
-    worst, witness = _worst_over_lines(
-        lines, lambda ln: complex_curvature_operator(model.tensor, model.structure, ln).matrix, scale
-    )
-    conditions["c_complex_curvature_zero"] = _condition(worst, witness, tol)
-
+    jacobi_ops = _line_operators(complex_jacobi, model, lines)
+    curvature_ops = _line_operators(complex_curvature_operator, model, lines)
+    conditions = {
+        "a_complex_jacobi_zero": _line_condition(lines, jacobi_ops, scale, tol),
+        "b_pairwise_J_flip": _quadruple_condition(_a2perp_defect(a, jmat), scale, tol),
+        "c_complex_curvature_zero": _line_condition(lines, curvature_ops, scale, tol),
+    }
     d1, d2 = _hop_defects(a, jmat)
     worst1, q1 = _worst_entry(d1)
     worst2, q2 = _worst_entry(d2)
     conditions["d_slot_hopping"] = _condition(
         max(worst1, worst2) / scale, ("quadruple",) + (q1 if worst1 >= worst2 else q2), tol
     )
-
-    booleans = [cond["holds"] for cond in conditions.values()]
-    if len(set(booleans)) > 1:
+    report = _battery("lemma23", conditions, tol)
+    if not report.holds:
+        return report
+    rho = float(np.max(np.abs(ricci(model.tensor).matrix))) / scale
+    rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure).matrix))) / scale
+    compatible = _compatibility_gate(model, tol).holds
+    if rho > tol or rho_star > tol or not compatible:
         raise EquivalenceViolationError(
-            "battery conditions disagree: "
-            + ", ".join(f"{k}={cond['holds']}" for k, cond in conditions.items())
+            f"vanishing complex Jacobi operator must force Ricci flatness, star-Ricci "
+            f"flatness and compatibility; got residuals {rho:.3e}, {rho_star:.3e}, "
+            f"compatible={compatible}"
         )
-    all_hold = all(booleans)
-    extras: dict = {}
-    if all_hold:
-        rho = float(np.max(np.abs(ricci(model.tensor).matrix))) / scale
-        rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure).matrix))) / scale
-        compatible = check_compatibility(model, "all", tol).holds
-        extras = {"ricci_residual": rho, "star_ricci_residual": rho_star, "compatible": compatible}
-        if rho > tol or rho_star > tol or not compatible:
-            raise EquivalenceViolationError(
-                f"vanishing complex Jacobi operator must force Ricci flatness, star-Ricci "
-                f"flatness and compatibility; got residuals {rho:.3e}, {rho_star:.3e}, "
-                f"compatible={compatible}"
-            )
-    worst_key = max(conditions, key=lambda k: conditions[k]["residual"])
-    return IdentityReport(
-        name="lemma23",
-        holds=all_hold,
-        worst_residual=conditions[worst_key]["residual"],
-        witness=conditions[worst_key]["witness"],
-        tolerance=tol,
-        details={**conditions, **extras},
-    )
+    extras = {"ricci_residual": rho, "star_ricci_residual": rho_star, "compatible": compatible}
+    return replace(report, details={**conditions, **extras})
 
 
 def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -573,8 +536,7 @@ def subspace_coordinate_basis(
     # design has more rows (m^4 per tag) than columns, so the thin vh is square
     # and already holds the whole right singular basis
     _, svals, vh = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
-    result = _freeze(vh[rank:])
+    result = _freeze(vh[numerical_rank(svals):])
     _subspace_cache[key] = result
     return result
 

@@ -10,12 +10,13 @@ orbit and rejects conflicting values.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CurvlabError, SparseEntryConflictError
+from .errors import CurvlabError, ModelFormatError, SparseEntryConflictError
 from .spaces import DEFAULT_TOL, validate_complex_structure
 from .tensors import ComplexModel, validate_or_project
 
@@ -49,8 +50,8 @@ def _complete_sparse(dim: int, items) -> np.ndarray:
     seen = np.zeros((dim,) * 4, dtype=bool)
     for item in items:
         if len(item) != 5:
-            raise CurvlabError(f"sparse entry {item!r} is not [i, j, k, l, value]")
-        i, j, k, l = (int(v) for v in item[:4])
+            raise ModelFormatError(f"sparse entry {item!r} is not [i, j, k, l, value]")
+        i, j, k, l = (operator.index(v) for v in item[:4])  # rejects fractional indices
         value = float(item[4])
         for quad, sign in _orbit(i, j, k, l):
             if any(q < 0 or q >= dim for q in quad):
@@ -99,30 +100,32 @@ def save_model(
 
 
 def load_model(path, tol: float = DEFAULT_TOL) -> ModelFile:
-    """Read and strictly validate a model file."""
+    """Read and strictly validate a model file.
+
+    Anything that is not a valid model raises a ``CurvlabError``: a schema
+    problem a ``ModelFormatError``, a NaN or infinite entry a
+    ``NonFiniteEntryError``, a broken symmetry a ``SymmetryViolationError``.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CurvlabError(f"{path}: not valid JSON: {exc}") from exc
-    for key in ("dim", "J", "A"):
-        if key not in doc:
-            raise CurvlabError(f"{path}: missing required key {key!r}")
-    dim = int(doc["dim"])
-    structure = validate_complex_structure(np.asarray(doc["J"], dtype=float), tol)
-    if structure.dim != dim:
-        raise CurvlabError(f"{path}: J is {structure.dim}x{structure.dim} but dim = {dim}")
-    block = doc["A"]
-    storage = block.get("storage")
-    if storage == "dense":
-        raw = np.asarray(block["entries"], dtype=float)
-        if raw.shape != (dim,) * 4:
-            raise CurvlabError(f"{path}: dense entries have shape {raw.shape}, expected {(dim,) * 4}")
-    elif storage == "sparse":
-        raw = _complete_sparse(dim, block["entries"])
-    else:
-        raise CurvlabError(f"{path}: unknown storage {storage!r}")
+        dim = operator.index(doc["dim"])
+        structure = validate_complex_structure(np.asarray(doc["J"], dtype=float), tol)
+        if structure.dim != dim:  # before the sparse orbits allocate dim^4 entries
+            raise CurvlabError(f"{path}: J is {structure.dim}x{structure.dim} but dim = {dim}")
+        storage, items = doc["A"]["storage"], doc["A"]["entries"]
+        if storage == "dense":
+            raw = np.asarray(items, dtype=float)
+        elif storage == "sparse":
+            raw = _complete_sparse(dim, items)
+        else:
+            raise ModelFormatError(f"{path}: unknown storage {storage!r}")
+        metadata = dict(doc.get("metadata", {}))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ModelFormatError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
+    if raw.shape != (dim,) * 4:
+        raise CurvlabError(f"{path}: {storage} entries have shape {raw.shape}, expected {(dim,) * 4}")
     tensor = validate_or_project(raw, mode="strict", tol=tol)
-    return ModelFile(ComplexModel(structure, tensor), dict(doc.get("metadata", {})))
+    return ModelFile(ComplexModel(structure, tensor), metadata)
 
 
 def save_matrix(matrix: np.ndarray, path, key: str = "theta") -> None:
@@ -130,9 +133,9 @@ def save_matrix(matrix: np.ndarray, path, key: str = "theta") -> None:
 
 
 def load_matrix(path, key: str = "theta") -> np.ndarray:
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict):
-        if key not in doc:
-            raise CurvlabError(f"{path}: missing key {key!r}")
-        return np.asarray(doc[key], dtype=float)
-    return np.asarray(doc, dtype=float)
+    """Read a matrix stored bare or under ``key``; a malformed file raises ``ModelFormatError``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return np.asarray(doc[key] if isinstance(doc, dict) else doc, dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: not a matrix file ({type(exc).__name__}: {exc})") from None

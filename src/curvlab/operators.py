@@ -17,9 +17,6 @@ from .tensors import AlgebraicCurvatureTensor
 
 SPECTRUM_MERGE_TOL = 1e-8
 
-SYMMETRIC_KINDS = frozenset({"jacobi", "complex_jacobi", "ricci", "star_ricci"})
-ANTISYMMETRIC_KINDS = frozenset({"curvature_op", "complex_curvature_op"})
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
@@ -56,10 +53,40 @@ def _check_line(line: ComplexLine, structure: ComplexStructure) -> None:
         raise LineStructureMismatchError("line was built for a different complex structure")
 
 
+def _jacobi_stack(entries: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """M[..., l, a, b] = sum_ij A[..., b, i, j, a] F[l, i, j] for a stack of forms F.
+
+    The one Jacobi-type contraction: the middle slots of A (and of every tensor
+    in a leading stack) paired with each form.  F = x x^T gives the Jacobi
+    matrix at x, and F = y z^T gives M[a, b] = A(e_b, y, z, e_a).
+    """
+    m = entries.shape[-1]
+    out = np.reshape(forms, (-1, m * m)) @ entries.reshape(*entries.shape[:-4], m, m * m, m)
+    return np.moveaxis(out, -3, -1)  # (..., b, l, a) -> (..., l, a, b)
+
+
+def _quartic_batch(entries: np.ndarray, xs, ys, zs, ws) -> np.ndarray:
+    """A(x_n, y_n, z_n, w_n) for each row n of the four (n, m) arrays."""
+    mats = _jacobi_stack(entries, ys[:, :, None] * zs[:, None, :])
+    return np.sum(ws * (mats @ xs[:, :, None])[:, :, 0], axis=1)
+
+
+def _q_batch(entries: np.ndarray, jmat: np.ndarray, vs) -> np.ndarray:
+    """Q(v_n) = A(v_n, Jv_n, Jv_n, v_n) for each row n."""
+    vj = vs @ jmat.T
+    return _quartic_batch(entries, vs, vj, vj, vs)
+
+
+def _lambda_batch(entries: np.ndarray, jmat: np.ndarray, xs, ys) -> np.ndarray:
+    """lambda(x_n, y_n) = A(x_n, y_n, y_n, x_n) - A(x_n, y_n, Jy_n, Jx_n) for each row n."""
+    xj, yj = xs @ jmat.T, ys @ jmat.T
+    return _quartic_batch(entries, xs, ys, ys, xs) - _quartic_batch(entries, xs, ys, yj, xj)
+
+
 def jacobi_matrix(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
     """Raw matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
     v = _as_vector(x, tensor.dim)
-    return np.einsum("bija,i,j->ab", tensor.entries, v, v, optimize=True)
+    return _jacobi_stack(tensor.entries, np.outer(v, v))[0]
 
 
 def jacobi(tensor: AlgebraicCurvatureTensor, x) -> OperatorMatrix:
@@ -69,23 +96,22 @@ def jacobi(tensor: AlgebraicCurvatureTensor, x) -> OperatorMatrix:
 def complex_jacobi(
     tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
 ) -> OperatorMatrix:
-    """Sum of the Jacobi operators at a unit representative x and at Jx.
+    """J(pi) = J(x) + J(Jx) for a unit x of the line pi.
 
-    Independent of which unit vector of the line is used as representative.
+    Its matrix is M[a, b] = sum_ij A(e_b, e_i, e_j, e_a) P[i, j] with the line
+    projector P = x x^T + Jx Jx^T, so it does not depend on the representative.
     """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
     _check_line(line, structure)
-    x = line.representative
-    mat = jacobi_matrix(tensor, x) + jacobi_matrix(tensor, structure.apply(x))
-    return OperatorMatrix(mat, "complex_jacobi")
+    return OperatorMatrix(_jacobi_stack(tensor.entries, line.projector)[0], "complex_jacobi")
 
 
 def curvature_operator_matrix(tensor: AlgebraicCurvatureTensor, x, y) -> np.ndarray:
     """Raw matrix M with <M z, w> = A(x, y, z, w); antisymmetric."""
-    vx = _as_vector(x, tensor.dim)
-    vy = _as_vector(y, tensor.dim)
-    return np.einsum("ijba,i,j->ab", tensor.entries, vx, vy, optimize=True)
+    m = tensor.dim
+    pair = np.outer(_as_vector(x, m), _as_vector(y, m)).ravel()
+    return (pair @ tensor.entries.reshape(m * m, m * m)).reshape(m, m).T
 
 
 def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> OperatorMatrix:
@@ -95,10 +121,11 @@ def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> OperatorMatrix
 def complex_curvature_operator(
     tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
 ) -> OperatorMatrix:
-    """Curvature operator of the pair (x, Jx) for the line's representative x.
+    """R(pi) = R(x, Jx) for the line's representative x: <R(pi) z, w> = A(x, Jx, z, w).
 
-    Rotating the representative inside the line leaves the operator unchanged
-    because x' wedge Jx' = x wedge Jx.
+    Its matrix is one product of the first slot pair of A with x (x) Jx, taken
+    without assuming any symmetry of the tensor.  Rotating the representative
+    inside the line leaves it unchanged because x' wedge Jx' = x wedge Jx.
     """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
@@ -138,10 +165,9 @@ def scalars(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) -> Sc
 
 
 def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) -> float:
-    """Quartic form A(v, Jv, Jv, v) at a not-necessarily-unit vector."""
+    """Quartic form Q(v) = A(v, Jv, Jv, v) = v^T J(Jv) v at a not-necessarily-unit vector."""
     x = _as_vector(v, tensor.dim)
-    jx = structure.apply(x)
-    return float(np.einsum("ijkl,i,j,k,l->", tensor.entries, x, jx, jx, x, optimize=True))
+    return float(x @ jacobi_matrix(tensor, structure.apply(x)) @ x)
 
 
 def holomorphic_sectional_curvature(
@@ -156,12 +182,7 @@ def lambda_tensor(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure,
     """A(x, y, y, x) - A(x, y, Jy, Jx)."""
     vx = _as_vector(x, tensor.dim)
     vy = _as_vector(y, tensor.dim)
-    jx = structure.apply(vx)
-    jy = structure.apply(vy)
-    a = tensor.entries
-    first = np.einsum("ijkl,i,j,k,l->", a, vx, vy, vy, vx, optimize=True)
-    second = np.einsum("ijkl,i,j,k,l->", a, vx, vy, jy, jx, optimize=True)
-    return float(first - second)
+    return float(_lambda_batch(tensor.entries, structure.matrix, vx[None], vy[None])[0])
 
 
 def merged_spectrum(op, tol: float = SPECTRUM_MERGE_TOL) -> tuple[tuple[float, int], ...]:

@@ -16,6 +16,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionNotMultipleOf4Error,
     InvalidVectorError,
+    NonFiniteEntryError,
     NotAntiInvolutionError,
     NotOrthogonalError,
     NotSquareError,
@@ -51,6 +52,8 @@ def validate_complex_structure(matrix, tol: float = DEFAULT_TOL) -> ComplexStruc
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteEntryError("a complex structure must be finite; found NaN or infinity")
     m = mat.shape[0]
     if m % 2:
         raise OddDimensionError(f"complex structures need even dimension, got m={m}")
@@ -138,6 +141,8 @@ def validate_complex_isometry(
         raise DimensionMismatchError(
             f"isometry is {mat.shape[0]}-dimensional, structure is {j_domain.dim}-dimensional"
         )
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteEntryError("an isometry must be finite; found NaN or infinity")
     orth = float(np.max(np.abs(mat.T @ mat - np.eye(mat.shape[0]))))
     if orth > tol:
         raise NotOrthogonalError(f"max |theta.T@theta - I| = {orth:.3e} exceeds tol {tol:.1e}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotOrthogonalError, SymmetryViolationError
+from .errors import DimensionMismatchError, NonFiniteEntryError, NotOrthogonalError, SymmetryViolationError
 from .spaces import DEFAULT_TOL, ComplexIsometry, ComplexStructure, _freeze, validate_complex_structure
 
 RANK_TOL = 1e-8
@@ -35,9 +35,6 @@ class AlgebraicCurvatureTensor:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
 
     def __add__(self, other: "AlgebraicCurvatureTensor") -> "AlgebraicCurvatureTensor":
         return AlgebraicCurvatureTensor(_freeze(self.entries + other.entries))
@@ -100,6 +97,8 @@ def validate_or_project(raw, mode: str = "strict", tol: float = DEFAULT_TOL) -> 
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 4 or len(set(arr.shape)) != 1:
         raise DimensionMismatchError(f"expected an m^4 array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteEntryError("curvature entries must be finite; found NaN or infinity")
     if mode == "strict":
         scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
         residuals = symmetry_residuals(arr)
@@ -162,6 +161,11 @@ def pullback(theta, tensor: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) 
         raise NotOrthogonalError(f"max |theta.T@theta - I| = {orth:.3e} exceeds tol {tol:.1e}")
     entries = np.einsum("abcd,ai,bj,ck,dl->ijkl", tensor.entries, mat, mat, mat, mat, optimize=True)
     return AlgebraicCurvatureTensor(_freeze(entries))
+
+
+def numerical_rank(svals: np.ndarray) -> int:
+    """Number of singular values (descending) above RANK_TOL times the largest; 0 for none."""
+    return int(np.sum(svals > RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
 
 
 def curvature_space_dim(m: int) -> int:

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import runpy
 import subprocess
@@ -70,7 +69,7 @@ def test_json_report_schema(tmp_path, capsys):
         assert set(res) == {"name", "holds", "residual", "witness"}
         assert res["holds"] is (res["name"] not in ("sato2", "lemma23"))
     by_name = {res["name"]: res for res in doc["results"]}
-    assert math.isnan(by_name["sato2"]["residual"])
+    assert by_name["sato2"]["residual"] is None
     assert by_name["sato2"]["witness"][0] == "precondition"
     assert isinstance(by_name["sato2"]["witness"][1], str)
     assert by_name["gray-classify"]["witness"] == [
@@ -112,21 +111,95 @@ def test_spectra_sweep_and_vector(tmp_path, capsys):
     assert jac == [[0.0, 1], [1.0, 2], [4.0, 1]]
 
 
-@pytest.mark.parametrize("at", ["0,0,0,0", "abc", "nan,0,0,1"], ids=["zero", "unparseable", "nan"])
-def test_spectra_rejects_bad_vector(tmp_path, capsys, at):
-    path = tmp_path / "fs.json"
-    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+def run_subprocess(*argv):
+    """Run the CLI in a fresh interpreter, so that an escaping traceback shows on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", "spectra", str(path), "--at", at],
+    return subprocess.run(
+        [sys.executable, "-m", "curvlab.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("at", ["0,0,0,0", "abc", "nan,0,0,1"], ids=["zero", "unparseable", "nan"])
+def test_spectra_rejects_bad_vector(tmp_path, capsys, at):
+    path = tmp_path / "fs.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    proc = run_subprocess("spectra", str(path), "--at", at)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+# one edit of a valid m = 2 model file per case; None runs the model unchanged
+_A0_M2 = {
+    "dim": 2,
+    "J": [[0.0, -1.0], [1.0, 0.0]],
+    "A": {"storage": "sparse", "entries": [[0, 1, 1, 0, 1.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "edit,extra",
+    [
+        ({"dim": "x"}, ()),
+        ({"A": []}, ()),
+        ({"J": "abc"}, ()),
+        ({"J": [[0.0, float("nan")], [1.0, 0.0]]}, ()),
+        ({"A": {"storage": "sparse", "entries": [["a", 1, 1, 0, 1.0]]}}, ()),
+        ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("nan")]]}}, ()),
+        ({"A": {"storage": "dense", "entries": "abc"}}, ()),
+        (None, ("--samples", "-1")),
+        (None, ("--seed", "-1")),
+    ],
+    ids=["dim", "A", "J", "J-nan", "sparse-index", "sparse-nan", "dense", "samples", "seed"],
+)
+def test_bad_input_is_usage_error(tmp_path, edit, extra):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_A0_M2, **(edit or {})}))
+    proc = run_subprocess(*extra, "check", str(path), "symmetries")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("not json", "not a matrix file"),
+        ('{"theta": "abc"}', "not a matrix file"),
+        ('{"theta": [[NaN, 0], [0, 1]]}', "finite"),
+        ('{"J": []}', "theta"),
+    ],
+    ids=["json", "matrix", "nan", "key"],
+)
+def test_bad_matrix_file_is_usage_error(tmp_path, text, message):
+    model, theta = tmp_path / "a0.json", tmp_path / "theta.json"
+    model.write_text(json.dumps(_A0_M2))
+    theta.write_text(text)
+    proc = run_subprocess("diff", str(model), str(model), "--theta", str(theta))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_output_is_strict(tmp_path, capsys):
+    # precondition failures have no residual: JSON gets null, text still prints nan
+    path = tmp_path / "r.json"
+    run(capsys, "build", "random", "--m", "4", "--seed", "1", "--out", str(path))
+    code, out, _ = run(capsys, "--output", "json", "check", str(path), *CHECKS)
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    residuals = {res["name"]: res["residual"] for res in doc["results"]}
+    assert residuals["vanhecke"] is residuals["sato1"] is residuals["sato2"] is None
+    _, out, _ = run(capsys, "check", str(path), "vanhecke")
+    assert "residual nan" in out
 
 
 def test_reconstruct_roundtrip(tmp_path, capsys):

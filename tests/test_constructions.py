@@ -105,10 +105,10 @@ def test_twistor_complex_jacobi_eigenvalues():
 
 
 def test_reconstruct_from_jacobi_roundtrips():
-    a0 = build_A0(4)
-    rec = reconstruct_from_jacobi(JacobiOracle.from_tensor(a0))
-    assert (rec - a0).norm() < 1e-10
     for m in (4, 6):
+        a0 = build_A0(m)
+        rec = reconstruct_from_jacobi(JacobiOracle.from_tensor(a0))
+        assert (rec - a0).norm() < 1e-10
         a = random_curvature_tensor(m, seed=m)
         rec = reconstruct_from_jacobi(JacobiOracle.from_tensor(a))
         assert (rec - a).norm() / (1.0 + a.norm()) < 1e-10
@@ -132,18 +132,19 @@ def test_reconstruct_equivariance():
 
 
 def test_reconstruct_from_complex_jacobi_roundtrips():
-    j4 = standard_complex_structure(4)
-    fs = build_A0(4) + build_APhi(j4)
-    rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(j4, fs)))
-    assert (rec - fs).norm() < 1e-10
-    rows = subspace_tensor_basis(["gray-yano"], 4, j4)
-    rng = np.random.default_rng(1)
-    for _ in range(3):
-        g = validate_or_project((rows.T @ rng.standard_normal(rows.shape[0])).reshape(4, 4, 4, 4))
-        rec = reconstruct_from_complex_jacobi(
-            ComplexJacobiOracle.from_model(ComplexModel(j4, g))
-        )
-        assert (rec - g).norm() / (1.0 + g.norm()) < 1e-10
+    for m in (4, 6, 8):
+        jm = standard_complex_structure(m)
+        fs = build_A0(m) + build_APhi(jm)
+        rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(jm, fs)))
+        assert (rec - fs).norm() < 1e-10
+        rows = subspace_tensor_basis(["gray-yano"], m, jm)
+        rng = np.random.default_rng(1)
+        for _ in range(3 if m == 4 else 1):
+            g = validate_or_project((rows.T @ rng.standard_normal(rows.shape[0])).reshape((m,) * 4))
+            rec = reconstruct_from_complex_jacobi(
+                ComplexJacobiOracle.from_model(ComplexModel(jm, g))
+            )
+            assert (rec - g).norm() / (1.0 + g.norm()) < 1e-10
 
 
 def test_complex_reconstruction_of_counterexample_fits_zero():

@@ -23,12 +23,17 @@ from curvlab import (
     p2_map,
     project_to_constraints,
     random_curvature_tensor,
+    random_orthogonal,
     run_check,
     standard_complex_structure,
     subspace_dimension,
     subspace_tensor_basis,
     tensor_inner_product,
+    validate_complex_structure,
 )
+from curvlab import identities
+from curvlab.cli import main
+from curvlab.identities import CONSTRAINT_TAGS
 from helpers import spans_equal
 
 
@@ -220,13 +225,46 @@ def test_subspace_dimensions_m4(j4, tags, expected):
     assert subspace_dimension(tags, 4, j4) == expected
 
 
-def test_a2_plus_a2perp_fill_a3(j4):
-    rows_a2 = subspace_tensor_basis(["a2"], 4, j4)
-    rows_perp = subspace_tensor_basis(["a2perp"], 4, j4)
-    rows_a3 = subspace_tensor_basis(["a3"], 4, j4)
-    assert spans_equal(np.vstack([rows_a2, rows_perp]), rows_a3)
-    # and the two pieces are orthogonal
-    assert np.max(np.abs(rows_a2 @ rows_perp.T)) < 1e-10
+def test_a2_plus_a2perp_fill_a3():
+    for m in (4, 6):
+        jm = standard_complex_structure(m)
+        rows_a2 = subspace_tensor_basis(["a2"], m, jm)
+        rows_perp = subspace_tensor_basis(["a2perp"], m, jm)
+        rows_a3 = subspace_tensor_basis(["a3"], m, jm)
+        assert spans_equal(np.vstack([rows_a2, rows_perp]), rows_a3)
+        # and the two pieces are orthogonal
+        assert np.max(np.abs(rows_a2 @ rows_perp.T)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_subspace_dimensions_invariant_under_conjugation(m):
+    # Q J Q^T is another complex structure; x -> Q x carries every subspace of
+    # J onto the matching subspace of Q J Q^T, so the dimensions agree
+    jm = standard_complex_structure(m)
+    q = random_orthogonal(m, np.random.default_rng(m))
+    conjugated = validate_complex_structure(q @ jm.matrix @ q.T)
+    for tag in CONSTRAINT_TAGS:
+        assert subspace_dimension([tag], m, conjugated) == subspace_dimension([tag], m, jm)
+
+
+def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
+    # the compatibility identity runs the gate's check once; vanhecke, sato1,
+    # sato2 and lemma23 then share one cached run for the loaded model
+    calls = []
+    real = identities.check_compatibility
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "check_compatibility", counting)
+    for kind in ("fubini-study", "counterexample"):
+        path = tmp_path / f"{kind}.json"
+        main(["build", kind, "--m", "4", "--out", str(path)])
+        calls.clear()
+        main(["check", str(path), *CHECKS])
+        assert len(calls) == 2
+    capsys.readouterr()
 
 
 def test_unknown_constraint_tag(j4):

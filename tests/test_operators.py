@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvlab import (
+    AlgebraicCurvatureTensor,
     LineStructureMismatchError,
     build_A0,
     build_APhi,
@@ -25,7 +26,8 @@ from curvlab import (
     standard_complex_structure,
     star_ricci,
 )
-from helpers import jacobi_loop
+from curvlab.operators import _jacobi_stack
+from helpers import contract, jacobi_loop
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +90,46 @@ def test_complex_jacobi_vanishes_on_counterexample():
 
 
 def test_complex_jacobi_representative_invariance(j4):
+    # both complex operators depend on the line only, not on its representative
     a = random_curvature_tensor(4, seed=11)
     rng = np.random.default_rng(5)
     x = random_unit_vector(4, rng)
     line = complex_line(x, j4)
-    for t in (0.3, 1.1, 2.9):
-        rotated = np.cos(t) * x + np.sin(t) * j4.apply(x)
-        other = complex_line(rotated, j4)
-        np.testing.assert_allclose(
-            complex_jacobi(a, j4, line).matrix,
-            complex_jacobi(a, j4, other).matrix,
-            atol=1e-12,
-        )
+    for operator in (complex_jacobi, complex_curvature_operator):
+        for t in (0.3, 1.1, 2.9):
+            rotated = np.cos(t) * x + np.sin(t) * j4.apply(x)
+            other = complex_line(rotated, j4)
+            np.testing.assert_allclose(
+                operator(a, j4, line).matrix,
+                operator(a, j4, other).matrix,
+                atol=1e-12,
+            )
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_jacobi_stack_matches_loop_oracles(m):
+    # a stack of two tensors, one without any symmetry, against a stack of two forms
+    rng = np.random.default_rng(m)
+    tensors = np.stack([random_curvature_tensor(m, seed=m).entries, rng.standard_normal((m,) * 4)])
+    x, u, v = rng.standard_normal((3, m))
+    mats = _jacobi_stack(tensors, np.array([np.outer(x, x), np.outer(u, v)]))
+    assert mats.shape == (2, 2, m, m)
+    eye = np.eye(m)
+    for t, entries in enumerate(tensors):
+        np.testing.assert_allclose(mats[t, 0], jacobi_loop(entries, x), atol=1e-12)
+        expected = [[contract(entries, eye[b], u, v, eye[a]) for b in range(m)] for a in range(m)]
+        np.testing.assert_allclose(mats[t, 1], expected, atol=1e-12)
+
+
+def test_complex_curvature_operator_matches_loop(j4):
+    # taken without any tensor symmetry: <R(pi) e_b, e_a> = A(x, Jx, e_b, e_a)
+    entries = np.random.default_rng(9).standard_normal((4,) * 4)
+    line = complex_line(random_unit_vector(4, np.random.default_rng(10)), j4)
+    x = line.representative
+    mat = complex_curvature_operator(AlgebraicCurvatureTensor(entries), j4, line).matrix
+    eye = np.eye(4)
+    expected = [[contract(entries, x, j4.apply(x), eye[b], eye[a]) for b in range(4)] for a in range(4)]
+    np.testing.assert_allclose(mat, expected, atol=1e-12)
 
 
 def test_line_structure_mismatch_error(j4):
