@@ -27,7 +27,6 @@ from .errors import (
     LineStructureMismatchError,
     ModelFormatError,
     NonFiniteEntryError,
-    NonUniqueSolutionError,
     NotAntiInvolutionError,
     NotCompatibleError,
     NotInA3Error,
@@ -60,7 +59,6 @@ from .identities import (
 from .modelio import ModelFile, load_model, save_model
 from .operators import (
     OperatorMatrix,
-    ScalarReport,
     complex_curvature_operator,
     complex_jacobi,
     curvature_operator,
@@ -70,7 +68,6 @@ from .operators import (
     merged_spectrum,
     q_quartic,
     ricci,
-    scalars,
     star_ricci,
 )
 from .spaces import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,10 +40,6 @@ from .tensors import (
 )
 
 BUILD_KINDS = ("a0", "fubini-study", "counterexample", "twistor", "random")
-
-
-def _default_tol() -> float:
-    return float(os.environ.get("CURVLAB_TOL", DEFAULT_TOL))
 
 
 def _jsonable(value):
@@ -264,12 +261,23 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="Build, check, and compare algebraic curvature models with complex structure.",
     )
-    parser.add_argument("--tol", type=float, default=_default_tol(), help="residual tolerance")
+    # argparse passes a string default, here CURVLAB_TOL, through the type check
+    parser.add_argument(
+        "--tol", type=positive_finite_float, default=os.environ.get("CURVLAB_TOL", DEFAULT_TOL),
+        help=f"residual tolerance (default: $CURVLAB_TOL, else {DEFAULT_TOL:g})",
+    )
     parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for random spot checks")
     parser.add_argument(
         "--samples", type=non_negative_int, default=0,
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The same flags are accepted after the subcommand; SUPPRESS keeps an unset
     # subcommand flag from clobbering a value parsed before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--tol", type=positive_finite_float, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=non_negative_int, default=argparse.SUPPRESS)
     common.add_argument("--samples", type=non_negative_int, default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
@@ -338,6 +346,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        at = f" at m = {args.m}" if hasattr(args, "m") else ""
+        print(f"error: {args.cmd} ran out of memory{at}", file=sys.stderr)
         return 2
     _emit(report, args.output)
     return int(report["status"])

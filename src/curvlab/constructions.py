@@ -5,8 +5,9 @@ vanishes identically while the tensor does not, and the twistor-point model
 whose curvature changes under a complex isometry even though all complex
 Jacobi and complex curvature operators are preserved.  The two reconstruction
 routines recover a curvature tensor from a Jacobi-operator oracle (always
-unique) and from a complex-Jacobi oracle (unique inside the eight-term
-identity subspace).
+unique) and from a complex-Jacobi oracle (the minimum-norm fit over the
+curvature space; the map to complex Jacobi data has kernel a2perp by Lemma
+2.3, so the fit is the tensor's eight-term component).
 """
 
 from __future__ import annotations
@@ -16,18 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EquivalenceViolationError,
-    InconsistentOracleError,
-    NonUniqueSolutionError,
-)
-from .identities import (
-    IdentityReport,
-    check_gray_yano,
-    lemma23_battery,
-    subspace_coordinate_basis,
-)
+from .errors import DimensionMismatchError, EquivalenceViolationError, InconsistentOracleError
+from .identities import IdentityReport, check_gray_yano, lemma23_battery
 from .operators import _jacobi_stack, complex_jacobi, jacobi_matrix
 from .spaces import (
     DEFAULT_TOL,
@@ -154,42 +145,62 @@ def reconstruct_from_jacobi(
     return basis.from_coordinates(coeffs)
 
 
+_solver_cache: dict = {}  # (m, J bytes) -> solver, at most 4 entries, oldest evicted first
+
+
+def _flip_subspace_dim(m: int) -> int:
+    """Closed-form dimension n^2 (n^2 - 1) / 6 of the flip subspace a2perp, n = m / 2."""
+    n = m // 2
+    return n * n * (n * n - 1) // 6
+
+
+def _complex_jacobi_solver(structure: ComplexStructure):
+    """Spanning lines, design and minimum-norm solve factors for one J.
+
+    They depend on J alone, so they are cached by value, (m, J bytes): models
+    loaded separately with the same J share one factorization.
+    """
+    m = structure.dim
+    key = (m, structure.matrix.tobytes())
+    if key in _solver_cache:
+        return _solver_cache[key]
+    basis = curvature_space_basis(m)
+    lines = spanning_lines(structure)
+    # one row block per line: J(x) + J(Jx) of every basis tensor, through the line projector
+    design = _jacobi_stack(basis.tensors, np.array([line.projector for line in lines])).reshape(basis.count, -1).T
+    u, svals, vh = np.linalg.svd(design, full_matrices=False)
+    rank = numerical_rank(svals)
+    expected = basis.count - _flip_subspace_dim(m)
+    if rank != expected:
+        raise EquivalenceViolationError(
+            f"complex Jacobi design has rank {rank}, but its kernel is a2perp by Lemma 2.3, "
+            f"so the rank is {expected}"
+        )
+    solver = (lines, design, u[:, :rank], vh[:rank].T / svals[:rank])
+    if len(_solver_cache) >= 4:
+        del _solver_cache[next(iter(_solver_cache))]
+    _solver_cache[key] = solver
+    return solver
+
+
 def reconstruct_from_complex_jacobi(
     oracle: ComplexJacobiOracle, tol: float = RECONSTRUCTION_TOL
 ) -> AlgebraicCurvatureTensor:
-    """Recover a curvature tensor from its complex Jacobi operators on spanning lines.
+    """Recover the eight-term component of a curvature tensor from its complex
+    Jacobi operators on the spanning lines.
 
-    The unknowns are restricted to the subspace of tensors satisfying the
-    eight-term identity, inside which the complex Jacobi data determine the
-    tensor uniquely (the subspace meets the flip subspace only in zero).
-    Dropping that restriction loses uniqueness: the quaternionic counterexample
-    has vanishing complex Jacobi data, so its oracle fits the zero tensor here.
-    One thin SVD of the design gives both its rank and the solution.
+    The fit is the minimum-norm least-squares solution over the whole
+    curvature space.  By Lemma 2.3 the map A -> (J(pi))_pi vanishes exactly on
+    the flip subspace a2perp, whose orthogonal complement is the eight-term
+    identity subspace, so the minimum-norm solution is the tensor's eight-term
+    component: the tensor itself when it satisfies the identity, and zero for
+    the quaternionic counterexample, which lies in the kernel.
     """
-    structure = oracle.structure
-    m = structure.dim
-    basis = curvature_space_basis(m)
-    sub = subspace_coordinate_basis(("gray-yano",), m, structure)
-    free = sub.shape[0]
-    if free == 0:
-        raise NonUniqueSolutionError("the identity subspace is trivial; nothing to fit")
-    lines = spanning_lines(structure)
-    sub_tensors = (sub @ basis.matrix).reshape(free, m, m, m, m)
-    # one row block per line: J(x) + J(Jx) of every subspace tensor, through the line projector
-    design = _jacobi_stack(sub_tensors, np.array([line.projector for line in lines])).reshape(free, -1).T
-    rhs = _oracle_targets((oracle.evaluate(line) for line in lines), m)
-    u, svals, vh = np.linalg.svd(design, full_matrices=False)
-    rank = numerical_rank(svals)
-    if rank < free:
-        raise NonUniqueSolutionError(
-            f"design rank {rank} < {free} free coordinates; the oracle does not pin "
-            "down a unique tensor in the identity subspace"
-        )
-    coeffs = vh.T @ ((u.T @ rhs) / svals)
-    _check_fit(
-        design, coeffs, rhs, tol, "no tensor in the identity subspace has these complex Jacobi operators"
-    )
-    return basis.from_coordinates(sub.T @ coeffs)
+    lines, design, u, v_scaled = _complex_jacobi_solver(oracle.structure)
+    rhs = _oracle_targets((oracle.evaluate(line) for line in lines), oracle.structure.dim)
+    coeffs = v_scaled @ (u.T @ rhs)
+    _check_fit(design, coeffs, rhs, tol, "no curvature tensor has these complex Jacobi operators")
+    return curvature_space_basis(oracle.structure.dim).from_coordinates(coeffs)
 
 
 def jacobi_equivalence_check(

@@ -92,9 +92,5 @@ class InconsistentOracleError(CurvlabError):
     pass
 
 
-class NonUniqueSolutionError(CurvlabError):
-    pass
-
-
 class SparseEntryConflictError(CurvlabError):
     pass

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurvlabError, ModelFormatError, SparseEntryConflictError
+from .errors import CurvlabError, ModelFormatError, NonFiniteEntryError, SparseEntryConflictError
 from .spaces import DEFAULT_TOL, validate_complex_structure
 from .tensors import ComplexModel, validate_or_project
 
@@ -53,6 +53,8 @@ def _complete_sparse(dim: int, items) -> np.ndarray:
             raise ModelFormatError(f"sparse entry {item!r} is not [i, j, k, l, value]")
         i, j, k, l = (operator.index(v) for v in item[:4])  # rejects fractional indices
         value = float(item[4])
+        if not np.isfinite(value):  # before inf - inf in the conflict check
+            raise NonFiniteEntryError(f"sparse entry {item!r} is not finite")
         for quad, sign in _orbit(i, j, k, l):
             if any(q < 0 or q >= dim for q in quad):
                 raise CurvlabError(f"sparse entry index {quad} out of range for dim {dim}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LineStructureMismatchError
-from .spaces import ComplexLine, ComplexStructure, spanning_lines
+from .spaces import ComplexLine, ComplexStructure
 from .tensors import AlgebraicCurvatureTensor
 
 SPECTRUM_MERGE_TOL = 1e-8
@@ -28,15 +28,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarReport:
-    """Scalar curvature, star-scalar curvature, and Q on the spanning lines."""
-
-    tau: float
-    tau_star: float
-    q_values: tuple[tuple[ComplexLine, float], ...]
 
 
 def _as_vector(x, m: int) -> np.ndarray:
@@ -151,17 +142,6 @@ def star_ricci(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) ->
     j = structure.matrix
     mat = np.einsum("apqi,pi,qb->ab", tensor.entries, j, j, optimize=True)
     return OperatorMatrix(mat, "star_ricci")
-
-
-def scalars(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) -> ScalarReport:
-    """Traces of the Ricci contractions plus Q on every spanning line."""
-    tau = float(np.trace(ricci(tensor).matrix))
-    tau_star = float(np.trace(star_ricci(tensor, structure).matrix))
-    q_values = tuple(
-        (line, holomorphic_sectional_curvature(tensor, structure, line))
-        for line in spanning_lines(structure)
-    )
-    return ScalarReport(tau, tau_star, q_values)
 
 
 def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) -> float:

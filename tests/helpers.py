@@ -77,3 +77,31 @@ def constraint_nullspace_basis(m, rank_tol=1e-8):
     _, svals, vh = np.linalg.svd(constraints, full_matrices=False)
     rank = int(np.sum(svals > rank_tol * svals[0]))
     return vh[rank:]
+
+
+def complex_jacobi_subspace_solve(oracle):
+    """Reconstruct from complex Jacobi data inside the eight-term identity subspace.
+
+    The unknowns are the coordinates of the dense ``gray-yano`` subspace, on
+    which the complex Jacobi data are injective, so the fit is unique.  A
+    reference for the library's minimum-norm fit over the whole curvature
+    space, which must land on the same tensor.
+    """
+    from curvlab.identities import subspace_coordinate_basis
+    from curvlab.operators import _jacobi_stack
+    from curvlab.spaces import spanning_lines
+    from curvlab.tensors import curvature_space_basis, numerical_rank
+
+    structure = oracle.structure
+    m = structure.dim
+    basis = curvature_space_basis(m)
+    sub = subspace_coordinate_basis(("gray-yano",), m, structure)
+    free = sub.shape[0]
+    lines = spanning_lines(structure)
+    sub_tensors = (sub @ basis.matrix).reshape(free, m, m, m, m)
+    design = _jacobi_stack(sub_tensors, np.array([line.projector for line in lines])).reshape(free, -1).T
+    rhs = np.concatenate([np.asarray(oracle.evaluate(line), dtype=float).ravel() for line in lines])
+    u, svals, vh = np.linalg.svd(design, full_matrices=False)
+    assert numerical_rank(svals) == free, "complex Jacobi data do not pin down the subspace tensor"
+    coeffs = vh.T @ ((u.T @ rhs) / svals)
+    return basis.from_coordinates(sub.T @ coeffs)

@@ -111,11 +111,12 @@ def test_spectra_sweep_and_vector(tmp_path, capsys):
     assert jac == [[0.0, 1], [1.0, 2], [4.0, 1]]
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, env=None):
     """Run the CLI in a fresh interpreter, so that an escaping traceback shows on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", *argv],
+        # warnings fail here as they do in-process (see pyproject.toml)
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "curvlab.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -142,24 +143,32 @@ _A0_M2 = {
 
 
 @pytest.mark.parametrize(
-    "edit,extra",
+    "edit,extra,tail,env",
     [
-        ({"dim": "x"}, ()),
-        ({"A": []}, ()),
-        ({"J": "abc"}, ()),
-        ({"J": [[0.0, float("nan")], [1.0, 0.0]]}, ()),
-        ({"A": {"storage": "sparse", "entries": [["a", 1, 1, 0, 1.0]]}}, ()),
-        ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("nan")]]}}, ()),
-        ({"A": {"storage": "dense", "entries": "abc"}}, ()),
-        (None, ("--samples", "-1")),
-        (None, ("--seed", "-1")),
+        ({"dim": "x"}, (), (), None),
+        ({"A": []}, (), (), None),
+        ({"J": "abc"}, (), (), None),
+        ({"J": [[0.0, float("nan")], [1.0, 0.0]]}, (), (), None),
+        ({"A": {"storage": "sparse", "entries": [["a", 1, 1, 0, 1.0]]}}, (), (), None),
+        ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("nan")]]}}, (), (), None),
+        ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("inf")]]}}, (), (), None),
+        ({"A": {"storage": "dense", "entries": "abc"}}, (), (), None),
+        (None, ("--samples", "-1"), (), None),
+        (None, ("--seed", "-1"), (), None),
+        (None, ("--tol", "nan"), (), None),
+        (None, ("--tol", "-1"), (), None),
+        (None, (), ("--tol", "nan"), None),
+        (None, (), (), {"CURVLAB_TOL": "abc"}),
     ],
-    ids=["dim", "A", "J", "J-nan", "sparse-index", "sparse-nan", "dense", "samples", "seed"],
+    ids=[
+        "dim", "A", "J", "J-nan", "sparse-index", "sparse-nan", "sparse-inf", "dense",
+        "samples", "seed", "tol-nan", "tol-negative", "subcommand-tol-nan", "env-tol",
+    ],
 )
-def test_bad_input_is_usage_error(tmp_path, edit, extra):
+def test_bad_input_is_usage_error(tmp_path, edit, extra, tail, env):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_A0_M2, **(edit or {})}))
-    proc = run_subprocess(*extra, "check", str(path), "symmetries")
+    proc = run_subprocess(*extra, "check", str(path), "symmetries", *tail, env=env)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -271,6 +280,17 @@ def test_subspace_dim_command(capsys):
     assert "20" in out
     code, _, err = run(capsys, "subspace-dim", "--m", "4", "--constraints", "bogus")
     assert code == 2
+
+
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    # exit 1 would read as a failed check
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("curvlab.cli.subspace_dimension", exhausted)
+    code, _, err = run(capsys, "subspace-dim", "--m", "12", "--constraints", "a1,a2,a3,a2perp")
+    assert code == 2
+    assert err.startswith("error:") and "m = 12" in err
 
 
 def test_tolerance_env_override(monkeypatch):

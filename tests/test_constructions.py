@@ -5,6 +5,7 @@ from curvlab import (
     ComplexJacobiOracle,
     ComplexModel,
     DimensionNotMultipleOf4Error,
+    EquivalenceViolationError,
     InconsistentOracleError,
     JacobiOracle,
     build_A0,
@@ -26,11 +27,15 @@ from curvlab import (
     reconstruct_from_jacobi,
     spanning_lines,
     standard_complex_structure,
+    subspace_dimension,
     subspace_tensor_basis,
     tensor_inner_product,
     twistor_point_model,
+    validate_complex_structure,
     validate_or_project,
 )
+from curvlab import constructions
+from helpers import complex_jacobi_subspace_solve
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -148,9 +153,9 @@ def test_reconstruct_from_complex_jacobi_roundtrips():
 
 
 def test_complex_reconstruction_of_counterexample_fits_zero():
-    # The counterexample sits outside the eight-term identity subspace, and its
-    # complex Jacobi data vanish, so the constrained fit legitimately returns 0:
-    # complex-line data match, plain Jacobi data do not.
+    # The counterexample lies in a2perp, the kernel of the complex Jacobi map,
+    # so the minimum-norm fit legitimately returns 0: complex-line data match,
+    # plain Jacobi data do not.
     model = counterexample_model(4)
     rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(model))
     assert rec.norm() < 1e-12
@@ -158,6 +163,62 @@ def test_complex_reconstruction_of_counterexample_fits_zero():
         assert np.max(np.abs(complex_jacobi(model.tensor, model.structure, line).matrix)) < 1e-12
     x = np.eye(4)[0]
     assert np.max(np.abs(jacobi(model.tensor, x).matrix)) > 1.0
+
+
+def _gallery(m):
+    jm = standard_complex_structure(m)
+    models = {
+        "a0": ComplexModel(jm, build_A0(m)),
+        "fubini-study": ComplexModel(jm, build_A0(m) + build_APhi(jm)),
+        "random": ComplexModel(jm, random_curvature_tensor(m, 1)),
+    }
+    if m % 4 == 0:
+        models["counterexample"] = counterexample_model(m)
+        models["twistor"] = twistor_point_model(m)[0]
+    return models
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_complex_reconstruction_matches_subspace_solve(m):
+    # the minimum-norm fit over the whole curvature space lands on the unique
+    # fit inside the eight-term subspace, also for tensors outside it
+    for name, model in _gallery(m).items():
+        oracle = ComplexJacobiOracle.from_model(model)
+        rec = reconstruct_from_complex_jacobi(oracle)
+        ref = complex_jacobi_subspace_solve(oracle)
+        assert np.max(np.abs(rec.entries - ref.entries)) < 1e-12, name
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_flip_subspace_closed_form_dimension(m):
+    jm = standard_complex_structure(m)
+    q = random_orthogonal(m, np.random.default_rng(m))
+    conjugated = validate_complex_structure(q @ jm.matrix @ q.T)
+    for structure in (jm, conjugated):
+        assert subspace_dimension(["a2perp"], m, structure) == constructions._flip_subspace_dim(m)
+
+
+def test_complex_reconstruction_caches_by_value_of_j():
+    # structures built separately with the same J share one factorization, and
+    # a cache hit still runs the fit check on the new oracle's answers
+    m = 6
+    matrix = standard_complex_structure(m).matrix
+    first, second = validate_complex_structure(matrix.copy()), validate_complex_structure(matrix.copy())
+    fs = build_A0(m) + build_APhi(first)
+    rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(first, fs)))
+    assert (rec - fs).norm() < 1e-10
+    assert constructions._complex_jacobi_solver(second) is constructions._complex_jacobi_solver(first)
+    not_symmetric = np.triu(np.ones((m, m)))
+    with pytest.raises(InconsistentOracleError):
+        reconstruct_from_complex_jacobi(ComplexJacobiOracle(m, second, lambda line: not_symmetric))
+
+
+def test_complex_reconstruction_rank_mismatch_is_a_bug(monkeypatch):
+    monkeypatch.setattr(constructions, "_solver_cache", {})
+    monkeypatch.setattr(constructions, "_flip_subspace_dim", lambda m: 0)
+    model = _gallery(4)["fubini-study"]
+    with pytest.raises(EquivalenceViolationError):
+        reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(model))
 
 
 def test_jacobi_equivalence_self():

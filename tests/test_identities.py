@@ -18,6 +18,7 @@ from curvlab import (
     check_sato,
     check_vanhecke,
     counterexample_model,
+    curvature_space_dim,
     gray_classify,
     lemma23_battery,
     p2_map,
@@ -245,6 +246,17 @@ def test_subspace_dimensions_invariant_under_conjugation(m):
     conjugated = validate_complex_structure(q @ jm.matrix @ q.T)
     for tag in CONSTRAINT_TAGS:
         assert subspace_dimension([tag], m, conjugated) == subspace_dimension([tag], m, jm)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_gray_yano_is_orthogonal_complement_of_a2perp(m):
+    # a2perp is the kernel of the complex Jacobi map (Lemma 2.3), so the
+    # minimum-norm complex reconstruction lands in the eight-term subspace
+    jm = standard_complex_structure(m)
+    perp = identities.subspace_coordinate_basis(["a2perp"], m, jm)
+    gray = identities.subspace_coordinate_basis(["gray-yano"], m, jm)
+    assert np.max(np.abs(gray @ perp.T)) < 1e-12
+    assert gray.shape[0] + perp.shape[0] == curvature_space_dim(m)
 
 
 def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
