@@ -155,10 +155,11 @@ def _flip_subspace_dim(m: int) -> int:
 
 
 def _complex_jacobi_solver(structure: ComplexStructure):
-    """Spanning lines, design and minimum-norm solve factors for one J.
+    """Design and minimum-norm solve factors over the spanning lines of one J.
 
-    They depend on J alone, so they are cached by value, (m, J bytes): models
-    loaded separately with the same J share one factorization.
+    They depend on J alone, so they are cached by value, (m, J bytes), the
+    key of the spanning-line cache: models loaded separately with the same J
+    share one factorization and one sweep.
     """
     m = structure.dim
     key = (m, structure.matrix.tobytes())
@@ -176,7 +177,7 @@ def _complex_jacobi_solver(structure: ComplexStructure):
             f"complex Jacobi design has rank {rank}, but its kernel is a2perp by Lemma 2.3, "
             f"so the rank is {expected}"
         )
-    solver = (lines, design, u[:, :rank], vh[:rank].T / svals[:rank])
+    solver = (design, u[:, :rank], vh[:rank].T / svals[:rank])
     if len(_solver_cache) >= 4:
         del _solver_cache[next(iter(_solver_cache))]
     _solver_cache[key] = solver
@@ -196,7 +197,8 @@ def reconstruct_from_complex_jacobi(
     component: the tensor itself when it satisfies the identity, and zero for
     the quaternionic counterexample, which lies in the kernel.
     """
-    lines, design, u, v_scaled = _complex_jacobi_solver(oracle.structure)
+    design, u, v_scaled = _complex_jacobi_solver(oracle.structure)
+    lines = spanning_lines(oracle.structure)
     rhs = _oracle_targets((oracle.evaluate(line) for line in lines), oracle.structure.dim)
     coeffs = v_scaled @ (u.T @ rhs)
     _check_fit(design, coeffs, rhs, tol, "no curvature tensor has these complex Jacobi operators")

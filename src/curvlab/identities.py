@@ -16,6 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EquivalenceViolationError,
     NotCompatibleError,
     NotInA3Error,
@@ -28,9 +29,9 @@ from .operators import (
     _lambda_batch,
     _q_batch,
     _quartic_batch,
-    complex_curvature_operator,
-    complex_jacobi,
-    q_quartic,
+    complex_curvature_stack,
+    complex_jacobi_stack,
+    holomorphic_sectional_curvatures,
     ricci,
     star_ricci,
 )
@@ -62,33 +63,24 @@ class IdentityReport:
     details: Mapping | None = None
 
 
-_OUT_LETTER = {"x": "i", "y": "j", "z": "k", "w": "l"}
-_FRESH = "pqrs"
-
-
 def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, str]) -> np.ndarray:
     """Tensor of values A(a1, a2, a3, a4) for a slot pattern such as ("x", "Jz", "w", "Jy").
 
     Output axes (i, j, k, l) always correspond to (x, y, z, w).  A leading
     batch axis on ``entries`` is passed through.
     """
-    batch = "t" if entries.ndim == 5 else ""
-    in_letters = []
-    operands: list[np.ndarray] = [entries]
-    j_subs = []
+    batch = entries.ndim - 4
+    out = entries
+    slots = [0, 1, 2, 3]  # the slot held by each trailing axis of ``out``
     for slot, arg in enumerate(args):
-        out = _OUT_LETTER[arg[-1]]
         if arg.startswith("J"):
-            in_letters.append(_FRESH[slot])
-            j_subs.append(_FRESH[slot] + out)
-        else:
-            in_letters.append(out)
-    subscripts = batch + "".join(in_letters)
-    for sub in j_subs:
-        subscripts += "," + sub
-        operands.append(jmat)
-    subscripts += "->" + batch + "ijkl"
-    return np.einsum(subscripts, *operands, optimize=True)
+            # A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i: the new axis i goes last
+            out = np.tensordot(out, jmat, axes=(batch + slots.index(slot), 0))
+            slots.remove(slot)
+            slots.append(slot)
+    slot_of = {"xyzw".index(arg[-1]): slot for slot, arg in enumerate(args)}
+    order = [batch + slots.index(slot_of[axis]) for axis in range(4)]
+    return np.transpose(out, list(range(batch)) + order)
 
 
 def _a1_defect(a, j):
@@ -163,11 +155,6 @@ def _worst_entry(defect: np.ndarray) -> tuple[float, tuple[int, ...]]:
     flat = int(np.argmax(np.abs(defect)))
     idx = np.unravel_index(flat, defect.shape)
     return float(np.max(np.abs(defect))), tuple(int(v) for v in idx)
-
-
-def _line_operators(operator: Callable, model: ComplexModel, lines) -> np.ndarray:
-    """The (L, m, m) stack of an operator's matrices on the lines, one call per line."""
-    return np.array([operator(model.tensor, model.structure, line).matrix for line in lines])
 
 
 def _condition(worst: float, witness: tuple, tol: float) -> dict:
@@ -246,7 +233,8 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
         if cond == 1:
             results["condition_1"] = _quadruple_condition(_a3_defect(a, jmat), scale, tol)
         elif cond in (2, 3):
-            ops = _line_operators(complex_jacobi if cond == 2 else complex_curvature_operator, model, lines)
+            stack = complex_jacobi_stack if cond == 2 else complex_curvature_stack
+            ops = stack(model.tensor, model.structure, lines)
             results[f"condition_{cond}"] = _line_condition(lines, ops @ jmat - jmat @ ops, scale, tol)
         else:
             raise ValueError(f"unknown compatibility condition {which!r}")
@@ -333,9 +321,7 @@ def check_sato(
     _require_compatible(model, tol)
     a = model.tensor.entries
     scale = _scale(a)
-    q_values = np.array(
-        [q_quartic(model.tensor, model.structure, ln.representative) for ln in spanning_lines(model.structure)]
-    )
+    q_values = holomorphic_sectional_curvatures(model.tensor, model.structure, spanning_lines(model.structure))
     if variant == 1:
         spread = float(q_values.max() - q_values.min())
         if spread > tol * scale:
@@ -372,8 +358,8 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     jmat = model.structure.matrix
     scale = _scale(a)
     lines = spanning_lines(model.structure)
-    jacobi_ops = _line_operators(complex_jacobi, model, lines)
-    curvature_ops = _line_operators(complex_curvature_operator, model, lines)
+    jacobi_ops = complex_jacobi_stack(model.tensor, model.structure, lines)
+    curvature_ops = complex_curvature_stack(model.tensor, model.structure, lines)
     conditions = {
         "a_complex_jacobi_zero": _line_condition(lines, jacobi_ops, scale, tol),
         "b_pairwise_J_flip": _quadruple_condition(_a2perp_defect(a, jmat), scale, tol),
@@ -516,6 +502,8 @@ def subspace_coordinate_basis(
 ) -> np.ndarray:
     """Orthonormal rows spanning, in curvature-basis coordinates, the subspace
     cut out by the listed linear constraint tags.  Cached per (m, J, tags)."""
+    if structure.dim != m:
+        raise DimensionMismatchError(f"structure is {structure.dim}-dimensional, expected m={m}")
     tags = tuple(sorted(set(constraints)))
     for tag in tags:
         if tag not in _CONSTRAINT_DEFECTS:

@@ -37,9 +37,9 @@ def _as_vector(x, m: int) -> np.ndarray:
     return v
 
 
-def _check_line(line: ComplexLine, structure: ComplexStructure) -> None:
-    if line.structure.matrix.shape != structure.matrix.shape or (
-        float(np.max(np.abs(line.structure.matrix - structure.matrix))) > 1e-12
+def _check_structure(owner: ComplexStructure, structure: ComplexStructure) -> None:
+    if owner.matrix.shape != structure.matrix.shape or (
+        float(np.max(np.abs(owner.matrix - structure.matrix))) > 1e-12
     ):
         raise LineStructureMismatchError("line was built for a different complex structure")
 
@@ -94,7 +94,7 @@ def complex_jacobi(
     """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    _check_line(line, structure)
+    _check_structure(line.structure, structure)
     return OperatorMatrix(_jacobi_stack(tensor.entries, line.projector)[0], "complex_jacobi")
 
 
@@ -120,10 +120,47 @@ def complex_curvature_operator(
     """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    _check_line(line, structure)
+    _check_structure(line.structure, structure)
     x = line.representative
     mat = curvature_operator_matrix(tensor, x, structure.apply(x))
     return OperatorMatrix(mat, "complex_curvature_op")
+
+
+def _line_stack(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines, field: str) -> np.ndarray:
+    """The lines' representatives or projectors stacked, after the checks of the per-line operators."""
+    if tensor.dim != structure.dim:
+        raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
+    for owner in {line.structure for line in lines}:  # one structure object per sweep
+        _check_structure(owner, structure)
+    return np.array([getattr(line, field) for line in lines])
+
+
+def complex_jacobi_stack(
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
+) -> np.ndarray:
+    """The (L, m, m) stack of complex_jacobi matrices on the lines, in one kernel call."""
+    return _jacobi_stack(tensor.entries, _line_stack(tensor, structure, lines, "projector"))
+
+
+def complex_curvature_stack(
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
+) -> np.ndarray:
+    """The (L, m, m) stack of complex_curvature_operator matrices on the lines.
+
+    One product of the first slot pair of A with the stacked x (x) Jx.
+    """
+    m = tensor.dim
+    xs = _line_stack(tensor, structure, lines, "representative")
+    pairs = (xs[:, :, None] * (xs @ structure.matrix.T)[:, None, :]).reshape(-1, m * m)
+    return np.swapaxes((pairs @ tensor.entries.reshape(m * m, m * m)).reshape(-1, m, m), 1, 2)
+
+
+def holomorphic_sectional_curvatures(
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
+) -> np.ndarray:
+    """Q of each line at its unit representative, as one batch."""
+    xs = _line_stack(tensor, structure, lines, "representative")
+    return _q_batch(tensor.entries, structure.matrix, xs)
 
 
 def ricci(tensor: AlgebraicCurvatureTensor) -> OperatorMatrix:
@@ -154,7 +191,7 @@ def holomorphic_sectional_curvature(
     tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
 ) -> float:
     """Q of the line, evaluated at its unit representative."""
-    _check_line(line, structure)
+    _check_structure(line.structure, structure)
     return q_quartic(tensor, structure, line.representative)
 
 

@@ -6,7 +6,6 @@ orthonormal basis, so structures and isometries are plain dense matrices.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,10 @@ def validate_complex_isometry(
     if orth > tol:
         raise NotOrthogonalError(f"max |theta.T@theta - I| = {orth:.3e} exceeds tol {tol:.1e}")
     target = j_domain if j_target is None else j_target
+    if target.dim != j_domain.dim:
+        raise DimensionMismatchError(
+            f"target structure is {target.dim}-dimensional, domain structure is {j_domain.dim}-dimensional"
+        )
     comm = float(np.max(np.abs(mat @ j_domain.matrix - target.matrix @ mat)))
     if comm > tol:
         raise CommutationError(f"max |theta@J1 - J2@theta| = {comm:.3e} exceeds tol {tol:.1e}")
@@ -207,7 +210,44 @@ def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) 
     return ComplexLine(_freeze(x), structure, _freeze(projector))
 
 
-@functools.lru_cache(maxsize=8)
+_lines_cache: dict = {}  # (m, J bytes) -> lines, at most 8 entries, oldest evicted first
+
+
+def _line_candidates(jmat: np.ndarray) -> np.ndarray:
+    """Rows e_i, then e_i + e_j and e_i + J e_j for each pair i < j, degenerate ones dropped."""
+    m = jmat.shape[0]
+    eye = np.eye(m)
+    first, second = np.triu_indices(m, 1)
+    pairs = np.stack([eye[first] + eye[second], eye[first] + jmat[:, second].T], axis=1).reshape(-1, m)
+    nondegenerate = np.ones(len(pairs), dtype=bool)
+    nondegenerate[1::2] = np.linalg.norm(pairs[1::2], axis=1) > 1e-8
+    return np.vstack([eye, pairs[nondegenerate]])
+
+
+def _sweep(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
+    """The lines of all candidates at once, normalized and signed as complex_line does."""
+    xs = _line_candidates(structure.matrix)
+    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    leads = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > 1e-9, axis=1)]
+    xs[leads < 0] *= -1.0
+    jxs = xs @ structure.matrix.T
+    projectors = xs[:, :, None] * xs[:, None, :] + jxs[:, :, None] * jxs[:, None, :]
+    flat = projectors.reshape(len(xs), -1)
+    # |P - Q|_F^2 = 4 - 2 <P, Q> for rank-2 projectors, so lines within
+    # LINE_EQ_TOL entrywise have <P, Q> near 2: only pairs above 1.5 need the
+    # entrywise comparison
+    later, earlier = np.nonzero(np.tril(flat @ flat.T > 1.5, -1))
+    same = np.max(np.abs(flat[later] - flat[earlier]), axis=1) <= LINE_EQ_TOL
+    # a candidate is dropped when it equals a line kept before it; pairs come
+    # ordered by the later candidate, so every earlier verdict is final
+    dropped = np.zeros(len(xs), dtype=bool)
+    for index, before in zip(later[same].tolist(), earlier[same].tolist()):
+        if not dropped[before]:
+            dropped[index] = True
+    reps, projectors = _freeze(xs[~dropped]), _freeze(projectors[~dropped])
+    return tuple(ComplexLine(rep, structure, proj) for rep, proj in zip(reps, projectors))
+
+
 def spanning_lines(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
     """Complex lines through e_i, (e_i + e_j)/sqrt2 and (e_i + J e_j)/sqrt2, deduplicated.
 
@@ -215,27 +255,23 @@ def spanning_lines(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
     representative and vanishes on this set vanishes on every complex line:
     the e_i values pin the diagonal coefficients and the e_i + e_j values
     polarize the mixed ones.  Candidates that degenerate to the zero vector
-    (possible when J e_j = -e_i) are skipped.
+    (possible when J e_j = -e_i) are skipped.  The lines come in candidate
+    order, each with the representative ``complex_line`` would give it, and a
+    candidate is dropped when its projector is within ``LINE_EQ_TOL`` of a
+    line kept before it.
 
-    Cached per structure object (structures hash by identity), so the checks
-    run on one model share one sweep; the cache is small so that a long run
-    over many models does not keep every model's lines alive.
+    Cached per value of J, (m, J bytes), so models loaded separately with the
+    same J share one sweep; the cache is small so that a long run over many
+    structures does not keep every structure's lines alive.
     """
-    m = structure.dim
-    eye = np.eye(m)
-    candidates = [eye[i] for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            candidates.append(eye[i] + eye[j])
-            mixed = eye[i] + structure.matrix[:, j]
-            if np.linalg.norm(mixed) > 1e-8:
-                candidates.append(mixed)
-    lines: list[ComplexLine] = []
-    for vec in candidates:
-        line = complex_line(vec, structure)
-        if not any(line.same_line(kept) for kept in lines):
-            lines.append(line)
-    return tuple(lines)
+    key = (structure.dim, structure.matrix.tobytes())
+    lines = _lines_cache.get(key)
+    if lines is None:
+        lines = _sweep(structure)
+        if len(_lines_cache) >= 8:
+            del _lines_cache[next(iter(_lines_cache))]
+        _lines_cache[key] = lines
+    return lines
 
 
 def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:

@@ -105,3 +105,29 @@ def complex_jacobi_subspace_solve(oracle):
     assert numerical_rank(svals) == free, "complex Jacobi data do not pin down the subspace tensor"
     coeffs = vh.T @ ((u.T @ rhs) / svals)
     return basis.from_coordinates(sub.T @ coeffs)
+
+
+def spanning_lines_loop(structure):
+    """Candidate-by-candidate spanning-line sweep with pairwise ``same_line`` deduplication.
+
+    A reference for the library's array sweep: one ``complex_line`` per
+    candidate e_i, e_i + e_j, e_i + J e_j (degenerate mixed candidates
+    skipped), kept unless it equals a line kept before it.
+    """
+    from curvlab.spaces import complex_line
+
+    m = structure.dim
+    eye = np.eye(m)
+    candidates = [eye[i] for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            candidates.append(eye[i] + eye[j])
+            mixed = eye[i] + structure.matrix[:, j]
+            if np.linalg.norm(mixed) > 1e-8:
+                candidates.append(mixed)
+    lines = []
+    for vec in candidates:
+        line = complex_line(vec, structure)
+        if not any(line.same_line(kept) for kept in lines):
+            lines.append(line)
+    return tuple(lines)

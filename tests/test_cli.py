@@ -282,6 +282,26 @@ def test_subspace_dim_command(capsys):
     assert code == 2
 
 
+def test_subspace_dim_rejects_structure_of_other_dimension(tmp_path, capsys):
+    # a 4 x 4 J at --m 6 once crashed in an einsum with exit 1
+    j4 = tmp_path / "j4.json"
+    j4.write_text(json.dumps({"J": np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]]).tolist()}))
+    for constraints in ("a1", ""):
+        code, _, err = run(capsys, "subspace-dim", "--m", "6", "--j", str(j4), "--constraints", constraints)
+        assert code == 2
+        assert err.startswith("error:") and "m=6" in err
+
+
+def test_diff_of_models_of_different_dimension_is_usage_error(tmp_path, capsys):
+    fs6, a4 = tmp_path / "fs6.json", tmp_path / "a4.json"
+    run(capsys, "build", "fubini-study", "--m", "6", "--out", str(fs6))
+    run(capsys, "build", "a0", "--m", "4", "--out", str(a4))
+    proc = run_subprocess("diff", str(fs6), str(a4))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "dimensional" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
     # exit 1 would read as a failed check
     def exhausted(*args):

@@ -35,7 +35,7 @@ from curvlab import (
 from curvlab import identities
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
-from helpers import spans_equal
+from helpers import contract, spans_equal
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +313,55 @@ def test_run_check_turns_precondition_into_failure(j4, name):
     assert np.isnan(rep.worst_residual)
     assert rep.witness[0] == "precondition"
     assert "not compatible" in rep.witness[1]
+
+
+def _arranged_patterns():
+    """Every slot pattern the identity defects and p2_map pass to ``arranged``."""
+    seen = []
+
+    def spy(entries, jmat, args):
+        if args not in seen:
+            seen.append(args)
+        return original(entries, jmat, args)
+
+    original = identities.arranged
+    j4 = standard_complex_structure(4)
+    model = ComplexModel(j4, build_A0(4) + build_APhi(j4))
+    a, jmat = model.tensor.entries, j4.matrix
+    identities.arranged = spy
+    try:
+        for defect in (*identities._CONSTRAINT_DEFECTS.values(), identities._hop_defects, identities._sato2_defect):
+            defect(a, jmat)
+        identities._sato1_defect(a, j4, 1.0)
+        p2_map(model)
+    finally:
+        identities.arranged = original
+    return seen
+
+
+_PATTERNS = _arranged_patterns()
+
+
+def test_arranged_patterns_collected():
+    assert len(_PATTERNS) == 14
+
+
+@pytest.mark.parametrize("args", _PATTERNS, ids=["-".join(p) for p in _PATTERNS])
+def test_arranged_matches_loop_oracle(args):
+    # the output axes (i, j, k, l) follow (x, y, z, w) whatever slot each letter sits in
+    m = 4
+    q = random_orthogonal(m, np.random.default_rng(9))
+    jmat = q @ standard_complex_structure(m).matrix @ q.T
+    stack = np.random.default_rng(10).standard_normal((2,) + (m,) * 4)
+    eye = np.eye(m)
+    letters = "xyzw"
+    expected = np.zeros((2,) + (m,) * 4)
+    for index in np.ndindex((m,) * 4):
+        vectors = []
+        for arg in args:
+            e = eye[index[letters.index(arg[-1])]]
+            vectors.append(jmat @ e if arg.startswith("J") else e)
+        for t in range(2):
+            expected[(t,) + index] = contract(stack[t], *vectors)
+    np.testing.assert_allclose(identities.arranged(stack, jmat, args), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(identities.arranged(stack[1], jmat, args), expected[1], rtol=0, atol=1e-12)

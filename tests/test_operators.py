@@ -9,21 +9,27 @@ from curvlab import (
     build_A0,
     build_APhi,
     complex_curvature_operator,
+    complex_curvature_stack,
     complex_jacobi,
+    complex_jacobi_stack,
     complex_line,
     counterexample_model,
     curvature_operator,
     holomorphic_sectional_curvature,
+    holomorphic_sectional_curvatures,
     jacobi,
     lambda_tensor,
     merged_spectrum,
     project_to_constraints,
+    q_quartic,
     random_curvature_tensor,
+    random_orthogonal,
     random_unit_vector,
     ricci,
     spanning_lines,
     standard_complex_structure,
     star_ricci,
+    validate_complex_structure,
 )
 from curvlab.operators import _jacobi_stack
 from helpers import contract, jacobi_loop
@@ -249,3 +255,37 @@ def test_merged_spectrum_grouping():
     mat = np.diag([1.0, 1.0 + 1e-12, 2.0, 5.0])
     spec = merged_spectrum(mat)
     assert spec == ((pytest.approx(1.0), 2), (2.0, 1), (5.0, 1))
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["curvature", "raw"])
+@pytest.mark.parametrize("m", [4, 6])
+def test_line_stacks_match_per_line_operators(m, symmetric):
+    # the raw tensor has none of the curvature symmetries, so no slot swap is assumed
+    q = random_orthogonal(m, np.random.default_rng(m))
+    structure = validate_complex_structure(q @ standard_complex_structure(m).matrix @ q.T)
+    if symmetric:
+        tensor = random_curvature_tensor(m, seed=3)
+    else:
+        tensor = AlgebraicCurvatureTensor(np.random.default_rng(4).standard_normal((m,) * 4))
+    lines = spanning_lines(structure)
+    jacobi_ops = complex_jacobi_stack(tensor, structure, lines)
+    curvature_ops = complex_curvature_stack(tensor, structure, lines)
+    q_values = holomorphic_sectional_curvatures(tensor, structure, lines)
+    assert jacobi_ops.shape == curvature_ops.shape == (len(lines), m, m)
+    for index, line in enumerate(lines):
+        np.testing.assert_allclose(
+            jacobi_ops[index], complex_jacobi(tensor, structure, line).matrix, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            curvature_ops[index], complex_curvature_operator(tensor, structure, line).matrix, rtol=0, atol=1e-12
+        )
+        assert abs(q_values[index] - q_quartic(tensor, structure, line.representative)) <= 1e-12
+
+
+def test_line_stacks_reject_foreign_lines(j4):
+    a = random_curvature_tensor(4, seed=2)
+    q = random_orthogonal(4, np.random.default_rng(1))
+    other = validate_complex_structure(q @ j4.matrix @ q.T)
+    for stack in (complex_jacobi_stack, complex_curvature_stack, holomorphic_sectional_curvatures):
+        with pytest.raises(LineStructureMismatchError):
+            stack(a, j4, spanning_lines(other))

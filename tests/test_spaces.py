@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from curvlab import (
     CommutationError,
+    DimensionMismatchError,
     DimensionNotMultipleOf4Error,
     InvalidVectorError,
     NotAntiInvolutionError,
@@ -13,6 +14,7 @@ from curvlab import (
     OddDimensionError,
     build_quaternion_triple,
     complex_line,
+    random_orthogonal,
     random_unit_vector,
     spanning_lines,
     standard_complex_structure,
@@ -20,6 +22,7 @@ from curvlab import (
     validate_complex_isometry,
     validate_complex_structure,
 )
+from helpers import spanning_lines_loop
 
 
 def test_standard_structure_is_valid():
@@ -84,6 +87,11 @@ def test_theta_map_squares_to_j2():
     assert np.max(np.abs(th @ th - trip.j2.matrix)) < 1e-12
 
 
+def test_complex_isometry_target_dimension_checked():
+    with pytest.raises(DimensionMismatchError):
+        validate_complex_isometry(np.eye(6), standard_complex_structure(6), standard_complex_structure(4))
+
+
 def test_complex_isometry_validation():
     j = standard_complex_structure(4)
     validate_complex_isometry(np.eye(4), j)
@@ -106,6 +114,43 @@ def test_spanning_lines_cached_per_structure():
     lines = spanning_lines(j)
     assert isinstance(lines, tuple)
     assert spanning_lines(j) is lines
+
+
+def _sweep_structures():
+    """Standard J, a rotated Q J Q^T and the quaternion structures at m = 2..12."""
+    cases = []
+    for m in range(2, 13, 2):
+        standard = standard_complex_structure(m)
+        q = random_orthogonal(m, np.random.default_rng(m))
+        cases += [(f"standard-{m}", standard), (f"rotated-{m}", validate_complex_structure(q @ standard.matrix @ q.T))]
+        if m % 4 == 0:
+            triple = build_quaternion_triple(m)
+            cases += [(f"j{k}-{m}", j) for k, j in enumerate((triple.j1, triple.j2, triple.j3), start=1)]
+    return cases
+
+
+@pytest.mark.parametrize("structure", [s for _, s in _sweep_structures()], ids=[n for n, _ in _sweep_structures()])
+def test_spanning_lines_match_loop_oracle(structure):
+    # same count, order, representatives and projectors as one complex_line per candidate
+    expected = spanning_lines_loop(structure)
+    lines = spanning_lines(structure)
+    assert len(lines) == len(expected)
+    for line, ref in zip(lines, expected):
+        np.testing.assert_allclose(line.representative, ref.representative, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(line.projector, ref.projector, rtol=0, atol=1e-14)
+        assert line.structure.matrix.tobytes() == structure.matrix.tobytes()
+
+
+def test_spanning_lines_cached_per_value_of_j():
+    # models loaded separately validate their own structure objects
+    first = validate_complex_structure(standard_complex_structure(6).matrix)
+    second = validate_complex_structure(standard_complex_structure(6).matrix.copy())
+    assert first is not second
+    assert spanning_lines(second) is spanning_lines(first)
+    q = random_orthogonal(6, np.random.default_rng(3))
+    rotated = validate_complex_structure(q @ first.matrix @ q.T)
+    assert spanning_lines(rotated) is not spanning_lines(first)
+    assert all(line.structure is rotated for line in spanning_lines(rotated))
 
 
 def test_spanning_lines_are_unit_planes():
