@@ -60,12 +60,9 @@ from .modelio import ModelFile, load_model, save_model
 from .operators import (
     OperatorMatrix,
     complex_curvature_operator,
-    complex_curvature_stack,
     complex_jacobi,
-    complex_jacobi_stack,
     curvature_operator,
     holomorphic_sectional_curvature,
-    holomorphic_sectional_curvatures,
     jacobi,
     lambda_tensor,
     merged_spectrum,

@@ -29,7 +29,7 @@ from .constructions import (
 from .errors import CurvlabError, InvalidVectorError
 from .identities import CHECKS, run_check, subspace_dimension
 from .modelio import load_matrix, load_model, save_model
-from .operators import complex_jacobi, complex_jacobi_stack, jacobi, merged_spectrum
+from .operators import complex_jacobi, jacobi, merged_spectrum
 from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure
 from .tensors import (
     ComplexModel,
@@ -158,7 +158,7 @@ def _cmd_spectra(args) -> dict:
     lines_out = []
     if args.at == "sweep":
         lines = spanning_lines(model.structure)
-        ops = complex_jacobi_stack(model.tensor, model.structure, lines)
+        ops = complex_jacobi(model.tensor, model.structure, lines).matrix
         for index, (line, op) in enumerate(zip(lines, ops)):
             spec = merged_spectrum(op)
             spectra.append(

@@ -26,6 +26,7 @@ from .spaces import (
     ComplexLine,
     ComplexStructure,
     build_quaternion_triple,
+    cached_by_j,
     complex_line,
     spanning_lines,
     theta_map,
@@ -145,7 +146,7 @@ def reconstruct_from_jacobi(
     return basis.from_coordinates(coeffs)
 
 
-_solver_cache: dict = {}  # (m, J bytes) -> solver, at most 4 entries, oldest evicted first
+_solver_cache: dict = {}  # (m, J bytes) -> solver
 
 
 def _flip_subspace_dim(m: int) -> int:
@@ -157,14 +158,15 @@ def _flip_subspace_dim(m: int) -> int:
 def _complex_jacobi_solver(structure: ComplexStructure):
     """Design and minimum-norm solve factors over the spanning lines of one J.
 
-    They depend on J alone, so they are cached by value, (m, J bytes), the
-    key of the spanning-line cache: models loaded separately with the same J
-    share one factorization and one sweep.
+    They depend on J alone, so they are cached by value, (m, J bytes), like
+    the spanning lines: models loaded separately with the same J share one
+    factorization and one sweep.
     """
+    return cached_by_j(_solver_cache, 4, structure, lambda: _build_complex_jacobi_solver(structure))
+
+
+def _build_complex_jacobi_solver(structure: ComplexStructure):
     m = structure.dim
-    key = (m, structure.matrix.tobytes())
-    if key in _solver_cache:
-        return _solver_cache[key]
     basis = curvature_space_basis(m)
     lines = spanning_lines(structure)
     # one row block per line: J(x) + J(Jx) of every basis tensor, through the line projector
@@ -177,11 +179,7 @@ def _complex_jacobi_solver(structure: ComplexStructure):
             f"complex Jacobi design has rank {rank}, but its kernel is a2perp by Lemma 2.3, "
             f"so the rank is {expected}"
         )
-    solver = (design, u[:, :rank], vh[:rank].T / svals[:rank])
-    if len(_solver_cache) >= 4:
-        del _solver_cache[next(iter(_solver_cache))]
-    _solver_cache[key] = solver
-    return solver
+    return design, u[:, :rank], vh[:rank].T / svals[:rank]
 
 
 def reconstruct_from_complex_jacobi(

@@ -29,13 +29,13 @@ from .operators import (
     _lambda_batch,
     _q_batch,
     _quartic_batch,
-    complex_curvature_stack,
-    complex_jacobi_stack,
-    holomorphic_sectional_curvatures,
+    complex_curvature_operator,
+    complex_jacobi,
+    holomorphic_sectional_curvature,
     ricci,
     star_ricci,
 )
-from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, random_unit_vector, spanning_lines
+from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, cached_by_j, random_unit_vector, spanning_lines
 from .tensors import (
     AlgebraicCurvatureTensor,
     ComplexModel,
@@ -233,8 +233,8 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
         if cond == 1:
             results["condition_1"] = _quadruple_condition(_a3_defect(a, jmat), scale, tol)
         elif cond in (2, 3):
-            stack = complex_jacobi_stack if cond == 2 else complex_curvature_stack
-            ops = stack(model.tensor, model.structure, lines)
+            operator = complex_jacobi if cond == 2 else complex_curvature_operator
+            ops = operator(model.tensor, model.structure, lines).matrix
             results[f"condition_{cond}"] = _line_condition(lines, ops @ jmat - jmat @ ops, scale, tol)
         else:
             raise ValueError(f"unknown compatibility condition {which!r}")
@@ -321,7 +321,7 @@ def check_sato(
     _require_compatible(model, tol)
     a = model.tensor.entries
     scale = _scale(a)
-    q_values = holomorphic_sectional_curvatures(model.tensor, model.structure, spanning_lines(model.structure))
+    q_values = holomorphic_sectional_curvature(model.tensor, model.structure, spanning_lines(model.structure))
     if variant == 1:
         spread = float(q_values.max() - q_values.min())
         if spread > tol * scale:
@@ -358,8 +358,8 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     jmat = model.structure.matrix
     scale = _scale(a)
     lines = spanning_lines(model.structure)
-    jacobi_ops = complex_jacobi_stack(model.tensor, model.structure, lines)
-    curvature_ops = complex_curvature_stack(model.tensor, model.structure, lines)
+    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines).matrix
+    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines).matrix
     conditions = {
         "a_complex_jacobi_zero": _line_condition(lines, jacobi_ops, scale, tol),
         "b_pairwise_J_flip": _quadruple_condition(_a2perp_defect(a, jmat), scale, tol),
@@ -494,14 +494,15 @@ _CONSTRAINT_DEFECTS: dict[str, Callable] = {
     "gray-yano": _gray_defect,
 }
 
-_subspace_cache: dict = {}
+_subspace_cache: dict = {}  # (m, J bytes, tags) -> coordinate basis
 
 
 def subspace_coordinate_basis(
     constraints, m: int, structure: ComplexStructure
 ) -> np.ndarray:
     """Orthonormal rows spanning, in curvature-basis coordinates, the subspace
-    cut out by the listed linear constraint tags.  Cached per (m, J, tags)."""
+    cut out by the listed linear constraint tags.  Cached per (m, J, tags),
+    at most 8 entries, since one entry holds up to count^2 floats."""
     if structure.dim != m:
         raise DimensionMismatchError(f"structure is {structure.dim}-dimensional, expected m={m}")
     tags = tuple(sorted(set(constraints)))
@@ -510,23 +511,20 @@ def subspace_coordinate_basis(
             raise UnknownConstraintTagError(
                 f"unknown constraint tag {tag!r}; known tags: {', '.join(CONSTRAINT_TAGS)}"
             )
-    key = (m, structure.matrix.tobytes(), tags)
-    if key in _subspace_cache:
-        return _subspace_cache[key]
+    return cached_by_j(_subspace_cache, 8, structure, lambda: _constrained_basis(tags, m, structure), tags)
+
+
+def _constrained_basis(tags: tuple[str, ...], m: int, structure: ComplexStructure) -> np.ndarray:
     basis = curvature_space_basis(m)
     if not tags:
-        result = _freeze(np.eye(basis.count))
-        _subspace_cache[key] = result
-        return result
+        return _freeze(np.eye(basis.count))
     stacked = basis.tensors  # (count, m, m, m, m); defects broadcast over the batch axis
     blocks = [_CONSTRAINT_DEFECTS[tag](stacked, structure.matrix).reshape(basis.count, -1) for tag in tags]
     design = np.concatenate(blocks, axis=1).T  # rows: constraint entries, cols: coordinates
     # design has more rows (m^4 per tag) than columns, so the thin vh is square
     # and already holds the whole right singular basis
     _, svals, vh = np.linalg.svd(design, full_matrices=False)
-    result = _freeze(vh[numerical_rank(svals):])
-    _subspace_cache[key] = result
-    return result
+    return _freeze(vh[numerical_rank(svals):])
 
 
 def subspace_dimension(constraints, m: int, structure: ComplexStructure) -> int:

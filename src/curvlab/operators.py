@@ -20,14 +20,17 @@ SPECTRUM_MERGE_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """m x m matrix of a curvature-derived operator, tagged by its kind."""
+    """m x m matrix of a curvature-derived operator, tagged by its kind.
+
+    The line operators, given a sequence of L lines, hold the (L, m, m) stack.
+    """
 
     matrix: np.ndarray
     kind: str
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def _as_vector(x, m: int) -> np.ndarray:
@@ -84,18 +87,31 @@ def jacobi(tensor: AlgebraicCurvatureTensor, x) -> OperatorMatrix:
     return OperatorMatrix(jacobi_matrix(tensor, x), "jacobi")
 
 
+def _line_array(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line, field: str) -> np.ndarray:
+    """The line's representative or projector, or for a sequence of lines all of
+    them stacked, after checking that the lines belong to the structure."""
+    if tensor.dim != structure.dim:
+        raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
+    if isinstance(line, ComplexLine):
+        _check_structure(line.structure, structure)
+        return getattr(line, field)
+    for owner in {ln.structure for ln in line}:  # one structure object per sweep
+        _check_structure(owner, structure)
+    return np.array([getattr(ln, field) for ln in line])
+
+
 def complex_jacobi(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
 ) -> OperatorMatrix:
     """J(pi) = J(x) + J(Jx) for a unit x of the line pi.
 
     Its matrix is M[a, b] = sum_ij A(e_b, e_i, e_j, e_a) P[i, j] with the line
     projector P = x x^T + Jx Jx^T, so it does not depend on the representative.
+    For a sequence of L lines the matrix is the (L, m, m) stack, from one
+    kernel call.
     """
-    if tensor.dim != structure.dim:
-        raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    _check_structure(line.structure, structure)
-    return OperatorMatrix(_jacobi_stack(tensor.entries, line.projector)[0], "complex_jacobi")
+    mats = _jacobi_stack(tensor.entries, _line_array(tensor, structure, line, "projector"))
+    return OperatorMatrix(mats[0] if isinstance(line, ComplexLine) else mats, "complex_jacobi")
 
 
 def curvature_operator_matrix(tensor: AlgebraicCurvatureTensor, x, y) -> np.ndarray:
@@ -110,57 +126,21 @@ def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> OperatorMatrix
 
 
 def complex_curvature_operator(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
 ) -> OperatorMatrix:
     """R(pi) = R(x, Jx) for the line's representative x: <R(pi) z, w> = A(x, Jx, z, w).
 
     Its matrix is one product of the first slot pair of A with x (x) Jx, taken
     without assuming any symmetry of the tensor.  Rotating the representative
     inside the line leaves it unchanged because x' wedge Jx' = x wedge Jx.
-    """
-    if tensor.dim != structure.dim:
-        raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    _check_structure(line.structure, structure)
-    x = line.representative
-    mat = curvature_operator_matrix(tensor, x, structure.apply(x))
-    return OperatorMatrix(mat, "complex_curvature_op")
-
-
-def _line_stack(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines, field: str) -> np.ndarray:
-    """The lines' representatives or projectors stacked, after the checks of the per-line operators."""
-    if tensor.dim != structure.dim:
-        raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    for owner in {line.structure for line in lines}:  # one structure object per sweep
-        _check_structure(owner, structure)
-    return np.array([getattr(line, field) for line in lines])
-
-
-def complex_jacobi_stack(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
-) -> np.ndarray:
-    """The (L, m, m) stack of complex_jacobi matrices on the lines, in one kernel call."""
-    return _jacobi_stack(tensor.entries, _line_stack(tensor, structure, lines, "projector"))
-
-
-def complex_curvature_stack(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
-) -> np.ndarray:
-    """The (L, m, m) stack of complex_curvature_operator matrices on the lines.
-
-    One product of the first slot pair of A with the stacked x (x) Jx.
+    For a sequence of L lines the matrix is the (L, m, m) stack, from one
+    product with the stacked x (x) Jx.
     """
     m = tensor.dim
-    xs = _line_stack(tensor, structure, lines, "representative")
+    xs = _line_array(tensor, structure, line, "representative").reshape(-1, m)
     pairs = (xs[:, :, None] * (xs @ structure.matrix.T)[:, None, :]).reshape(-1, m * m)
-    return np.swapaxes((pairs @ tensor.entries.reshape(m * m, m * m)).reshape(-1, m, m), 1, 2)
-
-
-def holomorphic_sectional_curvatures(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, lines
-) -> np.ndarray:
-    """Q of each line at its unit representative, as one batch."""
-    xs = _line_stack(tensor, structure, lines, "representative")
-    return _q_batch(tensor.entries, structure.matrix, xs)
+    mats = np.swapaxes((pairs @ tensor.entries.reshape(m * m, m * m)).reshape(-1, m, m), 1, 2)
+    return OperatorMatrix(mats[0] if isinstance(line, ComplexLine) else mats, "complex_curvature_op")
 
 
 def ricci(tensor: AlgebraicCurvatureTensor) -> OperatorMatrix:
@@ -181,18 +161,29 @@ def star_ricci(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) ->
     return OperatorMatrix(mat, "star_ricci")
 
 
-def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) -> float:
-    """Quartic form Q(v) = A(v, Jv, Jv, v) = v^T J(Jv) v at a not-necessarily-unit vector."""
+def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) -> float | np.ndarray:
+    """Quartic form Q(v) = A(v, Jv, Jv, v) = v^T J(Jv) v at a not-necessarily-unit vector.
+
+    For an (n, m) array of vectors, one per row, the n values come from one batch.
+    """
+    vs = np.asarray(v, dtype=float)
+    if vs.ndim == 2:
+        if vs.shape[1] != tensor.dim or structure.dim != tensor.dim:
+            raise DimensionMismatchError(
+                f"vectors of shape {vs.shape} and a {structure.dim}-dimensional structure "
+                f"do not match dimension {tensor.dim}"
+            )
+        return _q_batch(tensor.entries, structure.matrix, vs)
     x = _as_vector(v, tensor.dim)
     return float(x @ jacobi_matrix(tensor, structure.apply(x)) @ x)
 
 
 def holomorphic_sectional_curvature(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line: ComplexLine
-) -> float:
-    """Q of the line, evaluated at its unit representative."""
-    _check_structure(line.structure, structure)
-    return q_quartic(tensor, structure, line.representative)
+    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
+) -> float | np.ndarray:
+    """Q of the line, evaluated at its unit representative; for a sequence of
+    lines, the array of their Q values, from one batch."""
+    return q_quartic(tensor, structure, _line_array(tensor, structure, line, "representative"))
 
 
 def lambda_tensor(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, x, y) -> float:

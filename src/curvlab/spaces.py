@@ -210,7 +210,23 @@ def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) 
     return ComplexLine(_freeze(x), structure, _freeze(projector))
 
 
-_lines_cache: dict = {}  # (m, J bytes) -> lines, at most 8 entries, oldest evicted first
+def cached_by_j(cache: dict, bound: int, structure: ComplexStructure, build, *extra):
+    """``build()``, cached in ``cache`` under (m, J bytes, *extra).
+
+    Keyed by the value of J, so structures validated separately from equal
+    matrices share an entry; at most ``bound`` entries, the oldest evicted first.
+    """
+    key = (structure.dim, structure.matrix.tobytes(), *extra)
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        if len(cache) >= bound:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return value
+
+
+_lines_cache: dict = {}  # (m, J bytes) -> lines
 
 
 def _line_candidates(jmat: np.ndarray) -> np.ndarray:
@@ -264,14 +280,7 @@ def spanning_lines(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
     same J share one sweep; the cache is small so that a long run over many
     structures does not keep every structure's lines alive.
     """
-    key = (structure.dim, structure.matrix.tobytes())
-    lines = _lines_cache.get(key)
-    if lines is None:
-        lines = _sweep(structure)
-        if len(_lines_cache) >= 8:
-            del _lines_cache[next(iter(_lines_cache))]
-        _lines_cache[key] = lines
-    return lines
+    return cached_by_j(_lines_cache, 8, structure, lambda: _sweep(structure))
 
 
 def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:

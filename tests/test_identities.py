@@ -248,6 +248,19 @@ def test_subspace_dimensions_invariant_under_conjugation(m):
         assert subspace_dimension([tag], m, conjugated) == subspace_dimension([tag], m, jm)
 
 
+def test_subspace_cache_is_bounded(monkeypatch):
+    # one entry per (m, J value, tags); a run over many structures keeps at most 8
+    monkeypatch.setattr(identities, "_subspace_cache", {})
+    j4 = standard_complex_structure(4)
+    for seed in range(12):
+        q = random_orthogonal(4, np.random.default_rng(seed))
+        subspace_dimension(["a2perp"], 4, validate_complex_structure(q @ j4.matrix @ q.T))
+    assert len(identities._subspace_cache) == 8
+    first = identities.subspace_coordinate_basis(["a2"], 4, j4)
+    again = validate_complex_structure(j4.matrix.copy())
+    assert identities.subspace_coordinate_basis(["a2", "a2"], 4, again) is first
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_gray_yano_is_orthogonal_complement_of_a2perp(m):
     # a2perp is the kernel of the complex Jacobi map (Lemma 2.3), so the

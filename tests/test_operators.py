@@ -5,18 +5,16 @@ from hypothesis import strategies as st
 
 from curvlab import (
     AlgebraicCurvatureTensor,
+    DimensionMismatchError,
     LineStructureMismatchError,
     build_A0,
     build_APhi,
     complex_curvature_operator,
-    complex_curvature_stack,
     complex_jacobi,
-    complex_jacobi_stack,
     complex_line,
     counterexample_model,
     curvature_operator,
     holomorphic_sectional_curvature,
-    holomorphic_sectional_curvatures,
     jacobi,
     lambda_tensor,
     merged_spectrum,
@@ -268,24 +266,46 @@ def test_line_stacks_match_per_line_operators(m, symmetric):
     else:
         tensor = AlgebraicCurvatureTensor(np.random.default_rng(4).standard_normal((m,) * 4))
     lines = spanning_lines(structure)
-    jacobi_ops = complex_jacobi_stack(tensor, structure, lines)
-    curvature_ops = complex_curvature_stack(tensor, structure, lines)
-    q_values = holomorphic_sectional_curvatures(tensor, structure, lines)
-    assert jacobi_ops.shape == curvature_ops.shape == (len(lines), m, m)
+    jacobi_ops = complex_jacobi(tensor, structure, lines)
+    curvature_ops = complex_curvature_operator(tensor, structure, lines)
+    q_values = holomorphic_sectional_curvature(tensor, structure, lines)
+    assert jacobi_ops.matrix.shape == curvature_ops.matrix.shape == (len(lines), m, m)
+    assert jacobi_ops.dim == curvature_ops.dim == m
+    assert q_values.shape == (len(lines),)
+    reps = np.array([line.representative for line in lines])
+    np.testing.assert_array_equal(q_quartic(tensor, structure, reps), q_values)
     for index, line in enumerate(lines):
+        x = line.representative
         np.testing.assert_allclose(
-            jacobi_ops[index], complex_jacobi(tensor, structure, line).matrix, rtol=0, atol=1e-12
+            jacobi_ops.matrix[index], complex_jacobi(tensor, structure, line).matrix, rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            curvature_ops[index], complex_curvature_operator(tensor, structure, line).matrix, rtol=0, atol=1e-12
+            jacobi_ops.matrix[index],
+            jacobi(tensor, x).matrix + jacobi(tensor, structure.apply(x)).matrix,
+            rtol=0,
+            atol=1e-12,
         )
-        assert abs(q_values[index] - q_quartic(tensor, structure, line.representative)) <= 1e-12
+        np.testing.assert_allclose(
+            curvature_ops.matrix[index], complex_curvature_operator(tensor, structure, line).matrix, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            curvature_ops.matrix[index], curvature_operator(tensor, x, structure.apply(x)).matrix, rtol=0, atol=1e-12
+        )
+        assert abs(q_values[index] - q_quartic(tensor, structure, x)) <= 1e-12
 
 
 def test_line_stacks_reject_foreign_lines(j4):
     a = random_curvature_tensor(4, seed=2)
     q = random_orthogonal(4, np.random.default_rng(1))
     other = validate_complex_structure(q @ j4.matrix @ q.T)
-    for stack in (complex_jacobi_stack, complex_curvature_stack, holomorphic_sectional_curvatures):
+    for operator in (complex_jacobi, complex_curvature_operator, holomorphic_sectional_curvature):
         with pytest.raises(LineStructureMismatchError):
-            stack(a, j4, spanning_lines(other))
+            operator(a, j4, spanning_lines(other))
+
+
+def test_q_quartic_rows_must_match_dimension(j4):
+    a = random_curvature_tensor(4, seed=2)
+    with pytest.raises(DimensionMismatchError):
+        q_quartic(a, j4, np.ones((3, 6)))
+    with pytest.raises(DimensionMismatchError):
+        q_quartic(a, standard_complex_structure(6), np.ones((3, 4)))

@@ -22,6 +22,7 @@ from curvlab import (
     validate_complex_isometry,
     validate_complex_structure,
 )
+from curvlab.spaces import cached_by_j
 from helpers import spanning_lines_loop
 
 
@@ -151,6 +152,25 @@ def test_spanning_lines_cached_per_value_of_j():
     rotated = validate_complex_structure(q @ first.matrix @ q.T)
     assert spanning_lines(rotated) is not spanning_lines(first)
     assert all(line.structure is rotated for line in spanning_lines(rotated))
+
+
+def test_cached_by_j_keys_by_value_and_evicts_oldest():
+    cache: dict = {}
+    built = []
+
+    def build(name):
+        built.append(name)
+        return name
+
+    first = standard_complex_structure(4)
+    equal = validate_complex_structure(first.matrix.copy())
+    assert cached_by_j(cache, 2, first, lambda: build("a")) == "a"
+    assert cached_by_j(cache, 2, equal, lambda: build("b")) == "a"
+    assert cached_by_j(cache, 2, first, lambda: build("c"), "tag") == "c"
+    assert cached_by_j(cache, 2, standard_complex_structure(6), lambda: build("d")) == "d"
+    assert len(cache) == 2 and built == ["a", "c", "d"]
+    # the oldest entry went first, so the plain m = 4 key is built again
+    assert cached_by_j(cache, 2, equal, lambda: build("e")) == "e"
 
 
 def test_spanning_lines_are_unit_planes():
