@@ -10,6 +10,7 @@ file, --seed and --tol.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -270,14 +271,18 @@ def positive_finite_float(text: str) -> float:
     return value
 
 
+def _env_tol():
+    # argparse passes a string default, here CURVLAB_TOL, through the type check
+    return os.environ.get("CURVLAB_TOL", DEFAULT_TOL)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="Build, check, and compare algebraic curvature models with complex structure.",
     )
-    # argparse passes a string default, here CURVLAB_TOL, through the type check
     parser.add_argument(
-        "--tol", type=positive_finite_float, default=os.environ.get("CURVLAB_TOL", DEFAULT_TOL),
+        "--tol", type=positive_finite_float, default=_env_tol(),
         help=f"residual tolerance (default: $CURVLAB_TOL, else {DEFAULT_TOL:g})",
     )
     parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for random spot checks")
@@ -334,8 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of this process; building one costs more than most checks."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
+    parser.set_defaults(tol=_env_tol())  # CURVLAB_TOL is read on every call
     args = parser.parse_args(argv)
     for name in getattr(args, "identities", ()):
         if name not in CHECKS:

@@ -63,24 +63,68 @@ class IdentityReport:
     details: Mapping | None = None
 
 
+# J-slot images of the last read-only, unbatched tensor passed to ``arranged``:
+# that tensor and its J (held, so neither id can be reused by another array)
+# and, per ascending tuple S of slots, the image with J on the slots in S.
+_images: dict = {"entries": None, "jmat": None, "by_slots": {}}
+
+
+def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
+    """The image memo for this tensor, or None when its images must not be kept.
+
+    Only read-only arrays (a tensor's frozen entries, a structure's matrix)
+    cannot change between calls; a batched stack is too large to keep.  A new
+    tensor replaces the previous one's images, so at most one set is alive.
+    """
+    if entries.ndim != 4 or entries.flags.writeable or jmat.flags.writeable:
+        return None
+    if _images["entries"] is not entries or _images["jmat"] is not jmat:
+        _images.update(entries=entries, jmat=jmat, by_slots={})
+    return _images["by_slots"]
+
+
+def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None):
+    """(image, order): A with J applied on each slot of ``with_j`` (ascending),
+    and the slot held by each trailing axis of the image.
+
+    Starts from the image on the longest prefix of ``with_j`` found in
+    ``memo`` and applies J on the remaining slots one at a time, keeping each
+    new image in ``memo``; without a memo only two images are alive at once.
+    """
+    batch = entries.ndim - 4
+    cached = memo or {}
+    done = len(with_j)
+    while done and with_j[:done] not in cached:
+        done -= 1
+    image, order = cached[with_j[:done]] if done else (entries, (0, 1, 2, 3))
+    for n in range(done, len(with_j)):
+        slot = with_j[n]
+        # A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i: the new axis i goes last
+        image = np.tensordot(image, jmat, axes=(batch + order.index(slot), 0))
+        order = tuple(s for s in order if s != slot) + (slot,)
+        if memo is not None:
+            image.setflags(write=False)  # callers get views of it
+            memo[with_j[: n + 1]] = (image, order)
+    return image, order
+
+
 def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, str]) -> np.ndarray:
     """Tensor of values A(a1, a2, a3, a4) for a slot pattern such as ("x", "Jz", "w", "Jy").
 
     Output axes (i, j, k, l) always correspond to (x, y, z, w).  A leading
     batch axis on ``entries`` is passed through.
+
+    Every pattern is a transpose of one J-slot image: ``A`` with ``J`` applied
+    on the set S of slots whose argument starts with "J".  For a read-only
+    unbatched tensor each image is built once, from the image on S minus its
+    last slot, and kept until another tensor comes along; the result is then a
+    read-only view.  A batched stack gets its images rebuilt on every call.
     """
     batch = entries.ndim - 4
-    out = entries
-    slots = [0, 1, 2, 3]  # the slot held by each trailing axis of ``out``
-    for slot, arg in enumerate(args):
-        if arg.startswith("J"):
-            # A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i: the new axis i goes last
-            out = np.tensordot(out, jmat, axes=(batch + slots.index(slot), 0))
-            slots.remove(slot)
-            slots.append(slot)
+    with_j = tuple(slot for slot, arg in enumerate(args) if arg.startswith("J"))
+    image, order = _slot_image(entries, jmat, with_j, _slot_memo(entries, jmat))
     slot_of = {"xyzw".index(arg[-1]): slot for slot, arg in enumerate(args)}
-    order = [batch + slots.index(slot_of[axis]) for axis in range(4)]
-    return np.transpose(out, list(range(batch)) + order)
+    return np.transpose(image, list(range(batch)) + [batch + order.index(slot_of[axis]) for axis in range(4)])
 
 
 def _a1_defect(a, j):
@@ -450,9 +494,11 @@ def check_gray_yano(
 # The check catalogue behind ``curvlab check``: name -> (model, tol, seed,
 # samples) -> report.  Each entry looks its check up by module-level name at
 # call time, so rebinding a check function in this module also reroutes it.
+# The compatibility entry is the cached gate, so the checks that require a
+# compatible model reuse its run instead of repeating it.
 CHECKS: dict[str, Callable[..., IdentityReport]] = {
     "symmetries": lambda model, tol, seed, samples: check_symmetries(model, tol),
-    "compatibility": lambda model, tol, seed, samples: check_compatibility(model, "all", tol),
+    "compatibility": lambda model, tol, seed, samples: _compatibility_gate(model, tol),
     "vanhecke": lambda model, tol, seed, samples: check_vanhecke(model, trials=samples, seed=seed, tol=tol),
     "sato1": lambda model, tol, seed, samples: check_sato(model, 1, tol=tol),
     "sato2": lambda model, tol, seed, samples: check_sato(model, 2, tol=tol),

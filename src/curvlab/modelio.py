@@ -22,6 +22,11 @@ from .tensors import ComplexModel, validate_or_project
 
 SPARSE_CONFLICT_TOL = 1e-12
 
+# What parsing a malformed file raises: JSONDecodeError is a ValueError, a
+# deeply nested document a RecursionError, an integer beyond float range an
+# OverflowError
+_MALFORMED = (KeyError, TypeError, ValueError, RecursionError, OverflowError)
+
 
 @dataclass(frozen=True, eq=False)
 class ModelFile:
@@ -59,7 +64,8 @@ def _complete_sparse(dim: int, items) -> np.ndarray:
             if any(q < 0 or q >= dim for q in quad):
                 raise CurvlabError(f"sparse entry index {quad} out of range for dim {dim}")
             implied = sign * value
-            if seen[quad] and abs(entries[quad] - implied) > SPARSE_CONFLICT_TOL:
+            # Python floats: a numpy difference of +-1e308 overflows with a warning
+            if seen[quad] and abs(float(entries[quad]) - implied) > SPARSE_CONFLICT_TOL:
                 raise SparseEntryConflictError(
                     f"orbit of {(i, j, k, l)} implies {implied} at {quad}, "
                     f"but {entries[quad]} was already stored"
@@ -122,7 +128,7 @@ def load_model(path, tol: float = DEFAULT_TOL) -> ModelFile:
         else:
             raise ModelFormatError(f"{path}: unknown storage {storage!r}")
         metadata = dict(doc.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except _MALFORMED as exc:
         raise ModelFormatError(f"{path}: not a model file ({type(exc).__name__}: {exc})") from None
     if raw.shape != (dim,) * 4:
         raise CurvlabError(f"{path}: {storage} entries have shape {raw.shape}, expected {(dim,) * 4}")
@@ -139,5 +145,5 @@ def load_matrix(path, key: str = "theta") -> np.ndarray:
     try:
         doc = json.loads(Path(path).read_text())
         return np.asarray(doc[key] if isinstance(doc, dict) else doc, dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ModelFormatError(f"{path}: not a matrix file ({type(exc).__name__}: {exc})") from None

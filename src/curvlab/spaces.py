@@ -6,6 +6,7 @@ orthonormal basis, so structures and isometries are plain dense matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,22 @@ class ComplexStructure:
         return self.matrix @ v
 
 
+def _require_orthogonal(mat: np.ndarray, name: str, tol: float) -> None:
+    """Raise ``NotOrthogonalError`` unless max |M.T@M - I| <= tol.
+
+    An entry above sqrt(1 + tol) in magnitude alone breaks that bound, so it is
+    rejected before M.T@M is formed, where a huge entry would overflow.
+    """
+    largest = float(np.max(np.abs(mat)))
+    if largest > math.sqrt(1.0 + tol):
+        raise NotOrthogonalError(
+            f"{name} has an entry of magnitude {largest:.3e}; an orthogonal matrix has none above 1"
+        )
+    orth = float(np.max(np.abs(mat.T @ mat - np.eye(mat.shape[0]))))
+    if orth > tol:
+        raise NotOrthogonalError(f"max |{name}.T@{name} - I| = {orth:.3e} exceeds tol {tol:.1e}")
+
+
 def validate_complex_structure(matrix, tol: float = DEFAULT_TOL) -> ComplexStructure:
     """Validate the anti-involution and orthogonality residuals of ``matrix``."""
     mat = np.asarray(matrix, dtype=float)
@@ -56,11 +73,8 @@ def validate_complex_structure(matrix, tol: float = DEFAULT_TOL) -> ComplexStruc
     m = mat.shape[0]
     if m % 2:
         raise OddDimensionError(f"complex structures need even dimension, got m={m}")
-    eye = np.eye(m)
-    orth = float(np.max(np.abs(mat.T @ mat - eye)))
-    if orth > tol:
-        raise NotOrthogonalError(f"max |J.T@J - I| = {orth:.3e} exceeds tol {tol:.1e}")
-    anti = float(np.max(np.abs(mat @ mat + eye)))
+    _require_orthogonal(mat, "J", tol)
+    anti = float(np.max(np.abs(mat @ mat + np.eye(m))))
     if anti > tol:
         raise NotAntiInvolutionError(f"max |J@J + I| = {anti:.3e} exceeds tol {tol:.1e}")
     return ComplexStructure(_freeze(mat))
@@ -142,9 +156,7 @@ def validate_complex_isometry(
         )
     if not np.all(np.isfinite(mat)):
         raise NonFiniteEntryError("an isometry must be finite; found NaN or infinity")
-    orth = float(np.max(np.abs(mat.T @ mat - np.eye(mat.shape[0]))))
-    if orth > tol:
-        raise NotOrthogonalError(f"max |theta.T@theta - I| = {orth:.3e} exceeds tol {tol:.1e}")
+    _require_orthogonal(mat, "theta", tol)
     target = j_domain if j_target is None else j_target
     if target.dim != j_domain.dim:
         raise DimensionMismatchError(

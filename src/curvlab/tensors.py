@@ -14,8 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteEntryError, NotOrthogonalError, SymmetryViolationError
-from .spaces import DEFAULT_TOL, ComplexIsometry, ComplexStructure, _freeze, validate_complex_structure
+from .errors import DimensionMismatchError, NonFiniteEntryError, SymmetryViolationError
+from .spaces import (
+    DEFAULT_TOL,
+    ComplexIsometry,
+    ComplexStructure,
+    _freeze,
+    _require_orthogonal,
+    validate_complex_structure,
+)
 
 RANK_TOL = 1e-8
 
@@ -156,9 +163,7 @@ def pullback(theta, tensor: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) 
         raise DimensionMismatchError(
             f"map of shape {mat.shape} cannot pull back a {tensor.dim}-dimensional tensor"
         )
-    orth = float(np.max(np.abs(mat.T @ mat - np.eye(tensor.dim))))
-    if orth > tol:
-        raise NotOrthogonalError(f"max |theta.T@theta - I| = {orth:.3e} exceeds tol {tol:.1e}")
+    _require_orthogonal(mat, "theta", tol)
     entries = np.einsum("abcd,ai,bj,ck,dl->ijkl", tensor.entries, mat, mat, mat, mat, optimize=True)
     return AlgebraicCurvatureTensor(_freeze(entries))
 

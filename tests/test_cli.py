@@ -134,12 +134,14 @@ def test_spectra_rejects_bad_vector(tmp_path, capsys, at):
     assert proc.stderr.startswith("error: ")
 
 
-# one edit of a valid m = 2 model file per case; None runs the model unchanged
+# one edit of a valid m = 2 model file per case; None runs the model unchanged,
+# and a string is the whole file
 _A0_M2 = {
     "dim": 2,
     "J": [[0.0, -1.0], [1.0, 0.0]],
     "A": {"storage": "sparse", "entries": [[0, 1, 1, 0, 1.0]]},
 }
+_DEEP = "[" * 3000 + "]" * 3000  # more nesting than the JSON decoder recurses through
 
 
 @pytest.mark.parametrize(
@@ -152,7 +154,10 @@ _A0_M2 = {
         ({"A": {"storage": "sparse", "entries": [["a", 1, 1, 0, 1.0]]}}, (), (), None),
         ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("nan")]]}}, (), (), None),
         ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, float("inf")]]}}, (), (), None),
+        ({"A": {"storage": "sparse", "entries": [[0, 1, 1, 0, 1e308], [1, 0, 1, 0, 1e308]]}}, (), (), None),
         ({"A": {"storage": "dense", "entries": "abc"}}, (), (), None),
+        ({"J": [[0.0, -1e300], [1e300, 0.0]]}, (), (), None),
+        ('{"dim": ' + _DEEP + "}", (), (), None),
         (None, ("--samples", "-1"), (), None),
         (None, ("--seed", "-1"), (), None),
         (None, ("--tol", "nan"), (), None),
@@ -161,13 +166,14 @@ _A0_M2 = {
         (None, (), (), {"CURVLAB_TOL": "abc"}),
     ],
     ids=[
-        "dim", "A", "J", "J-nan", "sparse-index", "sparse-nan", "sparse-inf", "dense",
+        "dim", "A", "J", "J-nan", "sparse-index", "sparse-nan", "sparse-inf", "sparse-huge-conflict",
+        "dense", "J-huge", "deep",
         "samples", "seed", "tol-nan", "tol-negative", "subcommand-tol-nan", "env-tol",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, edit, extra, tail, env):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**_A0_M2, **(edit or {})}))
+    path.write_text(edit if isinstance(edit, str) else json.dumps({**_A0_M2, **(edit or {})}))
     proc = run_subprocess(*extra, "check", str(path), "symmetries", *tail, env=env)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -181,8 +187,10 @@ def test_bad_input_is_usage_error(tmp_path, edit, extra, tail, env):
         ('{"theta": "abc"}', "not a matrix file"),
         ('{"theta": [[NaN, 0], [0, 1]]}', "finite"),
         ('{"J": []}', "theta"),
+        ('{"theta": ' + _DEEP + "}", "not a matrix file"),
+        ('{"theta": [[1e300, 0], [0, 1]]}', "orthogonal"),
     ],
-    ids=["json", "matrix", "nan", "key"],
+    ids=["json", "matrix", "nan", "key", "deep", "huge"],
 )
 def test_bad_matrix_file_is_usage_error(tmp_path, text, message):
     model, theta = tmp_path / "a0.json", tmp_path / "theta.json"
@@ -191,6 +199,15 @@ def test_bad_matrix_file_is_usage_error(tmp_path, text, message):
     proc = run_subprocess("diff", str(model), str(model), "--theta", str(theta))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deep_structure_file_is_usage_error(tmp_path):
+    j = tmp_path / "j.json"
+    j.write_text('{"J": ' + _DEEP + "}")
+    proc = run_subprocess("subspace-dim", "--m", "2", "--j", str(j))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "not a matrix file" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -319,6 +336,31 @@ def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("CURVLAB_TOL", "1e-6")
     args = build_parser().parse_args(["subspace-dim", "--m", "4"])
     assert args.tol == 1e-6
+
+
+def test_tolerance_env_read_on_every_call(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process, yet each call sees the current CURVLAB_TOL
+    path = tmp_path / "a0.json"
+    run(capsys, "build", "a0", "--m", "4", "--out", str(path))
+    tols = []
+
+    def spy(name, model, tol, seed, samples):
+        tols.append(tol)
+        return CHECKS[name](model, tol, seed, samples)
+
+    monkeypatch.setattr("curvlab.cli.run_check", spy)
+    monkeypatch.setenv("CURVLAB_TOL", "1e-6")
+    assert run(capsys, "check", str(path), "symmetries")[0] == 0
+    monkeypatch.setenv("CURVLAB_TOL", "1e-7")
+    assert run(capsys, "check", str(path), "symmetries")[0] == 0
+    monkeypatch.delenv("CURVLAB_TOL")
+    assert run(capsys, "check", str(path), "symmetries")[0] == 0
+    assert tols == [1e-6, 1e-7, 1e-10]
+    monkeypatch.setenv("CURVLAB_TOL", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(path), "symmetries"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_sparse_storage_build(tmp_path, capsys):

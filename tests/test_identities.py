@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,7 @@ from curvlab import (
 from curvlab import identities
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
+from curvlab.spaces import _freeze
 from helpers import contract, spans_equal
 
 
@@ -273,8 +277,8 @@ def test_gray_yano_is_orthogonal_complement_of_a2perp(m):
 
 
 def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
-    # the compatibility identity runs the gate's check once; vanhecke, sato1,
-    # sato2 and lemma23 then share one cached run for the loaded model
+    # the compatibility identity is the gate itself; vanhecke, sato1, sato2
+    # and lemma23 then share its cached run for the loaded model
     calls = []
     real = identities.check_compatibility
 
@@ -288,7 +292,7 @@ def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
         main(["build", kind, "--m", "4", "--out", str(path)])
         calls.clear()
         main(["check", str(path), *CHECKS])
-        assert len(calls) == 2
+        assert len(calls) == 1
     capsys.readouterr()
 
 
@@ -359,22 +363,63 @@ def test_arranged_patterns_collected():
     assert len(_PATTERNS) == 14
 
 
-@pytest.mark.parametrize("args", _PATTERNS, ids=["-".join(p) for p in _PATTERNS])
-def test_arranged_matches_loop_oracle(args):
-    # the output axes (i, j, k, l) follow (x, y, z, w) whatever slot each letter sits in
-    m = 4
-    q = random_orthogonal(m, np.random.default_rng(9))
-    jmat = q @ standard_complex_structure(m).matrix @ q.T
-    stack = np.random.default_rng(10).standard_normal((2,) + (m,) * 4)
+def _arranged_loop(stack, jmat, args):
+    """Plain-loop values of ``arranged`` over a leading batch axis."""
+    m = stack.shape[-1]
     eye = np.eye(m)
     letters = "xyzw"
-    expected = np.zeros((2,) + (m,) * 4)
+    expected = np.zeros(stack.shape)
     for index in np.ndindex((m,) * 4):
         vectors = []
         for arg in args:
             e = eye[index[letters.index(arg[-1])]]
             vectors.append(jmat @ e if arg.startswith("J") else e)
-        for t in range(2):
+        for t in range(stack.shape[0]):
             expected[(t,) + index] = contract(stack[t], *vectors)
+    return expected
+
+
+def _rotated_j4():
+    q = random_orthogonal(4, np.random.default_rng(9))
+    return q @ standard_complex_structure(4).matrix @ q.T
+
+
+@pytest.mark.parametrize("args", _PATTERNS, ids=["-".join(p) for p in _PATTERNS])
+def test_arranged_matches_loop_oracle(args):
+    # the output axes (i, j, k, l) follow (x, y, z, w) whatever slot each letter sits in
+    jmat = _rotated_j4()
+    stack = np.random.default_rng(10).standard_normal((2,) + (4,) * 4)
+    expected = _arranged_loop(stack, jmat, args)
     np.testing.assert_allclose(identities.arranged(stack, jmat, args), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(identities.arranged(stack[1], jmat, args), expected[1], rtol=0, atol=1e-12)
+
+
+def test_shared_slot_images_match_loop_oracle():
+    # read-only entries and J, as in a loaded model: every pattern is a view of
+    # one shared J-slot image, each slot subset built once
+    jmat = _freeze(_rotated_j4())
+    entries = _freeze(np.random.default_rng(11).standard_normal((4,) * 4))
+    served = {args: identities.arranged(entries, jmat, args) for args in _PATTERNS}
+    for args, values in served.items():
+        assert not values.flags.writeable
+        expected = _arranged_loop(entries[None], jmat, args)[0]
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        assert np.shares_memory(identities.arranged(entries, jmat, args), values)
+    assert identities._images["entries"] is entries
+    # the ten slot subsets of the patterns, plus {0, 1, 2} on the way to all four
+    assert len(identities._images["by_slots"]) == 11
+
+
+def test_checking_a_second_model_drops_the_first_images():
+    j4 = standard_complex_structure(4)
+    first = ComplexModel(j4, build_A0(4) + build_APhi(j4))
+    for name in CHECKS:
+        run_check(name, first)
+    images = [weakref.ref(image) for image, _ in identities._images["by_slots"].values()]
+    assert images
+    second = counterexample_model(4)
+    for name in CHECKS:
+        run_check(name, second)
+    assert identities._images["entries"] is second.tensor.entries
+    gc.collect()
+    assert all(ref() is None for ref in images)

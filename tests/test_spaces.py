@@ -12,12 +12,14 @@ from curvlab import (
     NotOrthogonalError,
     NotSquareError,
     OddDimensionError,
+    build_A0,
     build_quaternion_triple,
     complex_line,
     random_orthogonal,
     random_unit_vector,
     spanning_lines,
     standard_complex_structure,
+    pullback,
     theta_map,
     validate_complex_isometry,
     validate_complex_structure,
@@ -91,6 +93,19 @@ def test_theta_map_squares_to_j2():
 def test_complex_isometry_target_dimension_checked():
     with pytest.raises(DimensionMismatchError):
         validate_complex_isometry(np.eye(6), standard_complex_structure(6), standard_complex_structure(4))
+
+
+def test_huge_entries_rejected_before_overflow():
+    # M.T@M of a 1e300 entry overflows (a RuntimeWarning, an error here); the
+    # entry bound sqrt(1 + tol) rejects it first and keeps rounding-level excess
+    j = standard_complex_structure(4).matrix
+    with pytest.raises(NotOrthogonalError):
+        validate_complex_structure(1e300 * j)
+    with pytest.raises(NotOrthogonalError):
+        validate_complex_isometry(1e300 * np.eye(4), standard_complex_structure(4))
+    with pytest.raises(NotOrthogonalError):
+        pullback(1e300 * np.eye(4), build_A0(4))
+    validate_complex_structure((1 + 1e-12) * j)
 
 
 def test_complex_isometry_validation():
