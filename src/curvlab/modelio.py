@@ -9,6 +9,7 @@ orbit and rejects conflicting values.
 
 from __future__ import annotations
 
+import copy
 import json
 import operator
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CurvlabError, ModelFormatError, NonFiniteEntryError, SparseEntryConflictError
-from .spaces import DEFAULT_TOL, validate_complex_structure
+from .spaces import DEFAULT_TOL, cached_by_key, validate_complex_structure
 from .tensors import ComplexModel, validate_or_project
 
 SPARSE_CONFLICT_TOL = 1e-12
@@ -107,15 +108,30 @@ def save_model(
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_loaded: dict = {}  # (file bytes, tol) -> (model, metadata)
+
+
 def load_model(path, tol: float = DEFAULT_TOL) -> ModelFile:
     """Read and strictly validate a model file.
 
     Anything that is not a valid model raises a ``CurvlabError``: a schema
-    problem a ``ModelFormatError``, a NaN or infinite entry a
-    ``NonFiniteEntryError``, a broken symmetry a ``SymmetryViolationError``.
+    problem, or text that is not UTF-8 without a BOM, a ``ModelFormatError``;
+    a NaN or infinite entry a ``NonFiniteEntryError``; a broken symmetry a
+    ``SymmetryViolationError``.
+
+    The file is read on every call, and loads are cached per process by
+    (file bytes, tol), the last 8 kept: the same bytes, at any path, give the
+    same read-only model again, with a fresh copy of the metadata, while a
+    rewritten file is parsed again.  A file that fails is not cached.
     """
+    data = Path(path).read_bytes()
+    model, metadata = cached_by_key(_loaded, 8, (data, tol), lambda: _parse_model(data, path, tol))
+    return ModelFile(model, copy.deepcopy(metadata))
+
+
+def _parse_model(data: bytes, path, tol: float) -> tuple[ComplexModel, dict]:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(data.decode("utf-8"))  # decoded here, so json.loads detects no BOM or UTF-16
         dim = operator.index(doc["dim"])
         structure = validate_complex_structure(np.asarray(doc["J"], dtype=float), tol)
         if structure.dim != dim:  # before the sparse orbits allocate dim^4 entries
@@ -133,7 +149,7 @@ def load_model(path, tol: float = DEFAULT_TOL) -> ModelFile:
     if raw.shape != (dim,) * 4:
         raise CurvlabError(f"{path}: {storage} entries have shape {raw.shape}, expected {(dim,) * 4}")
     tensor = validate_or_project(raw, mode="strict", tol=tol)
-    return ModelFile(ComplexModel(structure, tensor), metadata)
+    return ComplexModel(structure, tensor), metadata
 
 
 def save_matrix(matrix: np.ndarray, path, key: str = "theta") -> None:

@@ -222,13 +222,12 @@ def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) 
     return ComplexLine(_freeze(x), structure, _freeze(projector))
 
 
-def cached_by_j(cache: dict, bound: int, structure: ComplexStructure, build, *extra):
-    """``build()``, cached in ``cache`` under (m, J bytes, *extra).
+def cached_by_key(cache: dict, bound: int, key, build):
+    """``build()``, cached in ``cache`` under ``key``.
 
-    Keyed by the value of J, so structures validated separately from equal
-    matrices share an entry; at most ``bound`` entries, the oldest evicted first.
+    At most ``bound`` entries, the oldest evicted first; a ``build`` that
+    raises stores nothing, so it runs again on the next call.
     """
-    key = (structure.dim, structure.matrix.tobytes(), *extra)
     value = cache.get(key)
     if value is None:
         value = build()
@@ -236,6 +235,15 @@ def cached_by_j(cache: dict, bound: int, structure: ComplexStructure, build, *ex
             del cache[next(iter(cache))]
         cache[key] = value
     return value
+
+
+def cached_by_j(cache: dict, bound: int, structure: ComplexStructure, build, *extra):
+    """``cached_by_key`` under the key (m, J bytes, *extra).
+
+    Keyed by the value of J, so structures validated separately from equal
+    matrices share an entry.
+    """
+    return cached_by_key(cache, bound, (structure.dim, structure.matrix.tobytes(), *extra), build)
 
 
 _lines_cache: dict = {}  # (m, J bytes) -> lines

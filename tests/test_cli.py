@@ -181,6 +181,26 @@ def test_bad_input_is_usage_error(tmp_path, edit, extra, tail, env):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        b"\xef\xbb\xbf" + json.dumps(_A0_M2).encode(),
+        json.dumps(_A0_M2).encode("utf-16"),
+        json.dumps({**_A0_M2, "metadata": {"kind": "KIND"}}).encode().replace(b"KIND", b"\xff\xfe"),
+    ],
+    ids=["utf-8-bom", "utf-16", "invalid-utf-8"],
+)
+def test_undecodable_model_file_is_usage_error(tmp_path, data):
+    # model files are UTF-8 without a byte order mark, whatever json.loads
+    # would detect in raw bytes
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    proc = run_subprocess("check", str(path), "symmetries")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "not a model file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "text,message",
     [
         ("not json", "not a matrix file"),

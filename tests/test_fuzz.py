@@ -2,10 +2,12 @@
 
 Valid m = 4 model files are mutated (keys dropped, values of another type,
 values nested deeper, numbers replaced by huge, infinite or NaN ones) and
-``curvlab check`` runs on each in process; ``--at`` strings go to
-``curvlab spectra``.  Every run must end with exit 0, 1 or 2 and let no
-exception escape.  RuntimeWarnings fail too (see pyproject.toml), so a
-warning printed on the way to a clean exit counts as an escape.
+``curvlab check`` runs twice on each in process, where the second run of a
+valid file gets the cached model; ``--at`` strings go to ``curvlab spectra``.
+Every run must end with exit 0, 1 or 2 and let no exception escape, and the
+two runs of one file must agree.  RuntimeWarnings fail too (see
+pyproject.toml), so a warning printed on the way to a clean exit counts as an
+escape.
 """
 
 import contextlib
@@ -79,13 +81,15 @@ def _mutated_text(draw, docs):
 _PLACEHOLDER = "\u0000nested\u0000"
 
 
-def _exit_code(argv) -> int:
+def _run(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse rejects usage with exit 2
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
 
 
 def test_mutated_model_files_keep_the_exit_code_contract(tmp_path_factory):
@@ -96,7 +100,11 @@ def test_mutated_model_files_keep_the_exit_code_contract(tmp_path_factory):
     @given(_mutated_text(_base_docs(tmp_dir)))
     def run(text):
         path.write_text(text)
-        assert _exit_code(["--samples", "2", "check", str(path), *CHECKS]) in (0, 1, 2)
+        # the second run loads the same bytes again: a cached model must
+        # give what the first parse gave
+        first, second = (_run(["--samples", "2", "check", str(path), *CHECKS]) for _ in range(2))
+        assert first[0] in (0, 1, 2)
+        assert second == first
 
     run()
 
@@ -110,6 +118,6 @@ def test_at_strings_keep_the_exit_code_contract(tmp_path_factory):
     @settings(max_examples=100)
     @given(at_strings)
     def run(at):
-        assert _exit_code(["spectra", str(path), f"--at={at}"]) in (0, 1, 2)
+        assert _run(["spectra", str(path), f"--at={at}"])[0] in (0, 1, 2)
 
     run()

@@ -278,7 +278,8 @@ def test_gray_yano_is_orthogonal_complement_of_a2perp(m):
 
 def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
     # the compatibility identity is the gate itself; vanhecke, sato1, sato2
-    # and lemma23 then share its cached run for the loaded model
+    # and lemma23 then share its cached run for the loaded model; a second
+    # check of the same file gets the same model, so it reuses that run too
     calls = []
     real = identities.check_compatibility
 
@@ -291,6 +292,8 @@ def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
         path = tmp_path / f"{kind}.json"
         main(["build", kind, "--m", "4", "--out", str(path)])
         calls.clear()
+        main(["check", str(path), *CHECKS])
+        assert len(calls) == 1
         main(["check", str(path), *CHECKS])
         assert len(calls) == 1
     capsys.readouterr()

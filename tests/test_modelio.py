@@ -15,12 +15,27 @@ from curvlab import (
     save_model,
     standard_complex_structure,
 )
+from curvlab import modelio
 
 
 @pytest.fixture
 def fs_model():
     j = standard_complex_structure(4)
     return ComplexModel(j, build_A0(4) + build_APhi(j))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The tensors validated by load_model: one per parse, none per cache hit."""
+    calls = []
+    real = modelio.validate_or_project
+
+    def counting(raw, *args, **kwargs):
+        calls.append(raw)
+        return real(raw, *args, **kwargs)
+
+    monkeypatch.setattr(modelio, "validate_or_project", counting)
+    return calls
 
 
 def test_dense_roundtrip_bit_exact(tmp_path, fs_model):
@@ -87,8 +102,9 @@ def test_sparse_cross_entry_conflict(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_bianchi_violation(tmp_path):
-    # the orbit completion satisfies the sign symmetries but not the Bianchi sum
+def test_load_rejects_bianchi_violation(tmp_path, parses):
+    # the orbit completion satisfies the sign symmetries but not the Bianchi
+    # sum; a file that fails is not cached, so it is parsed and fails again
     entries = [[0, 1, 2, 3, 1.0], [0, 2, 1, 3, 1.0], [0, 3, 1, 2, 1.0]]
     doc = {
         "dim": 4,
@@ -97,8 +113,10 @@ def test_load_rejects_bianchi_violation(tmp_path):
     }
     path = tmp_path / "bianchi.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SymmetryViolationError):
-        load_model(path)
+    for _ in range(2):
+        with pytest.raises(SymmetryViolationError):
+            load_model(path)
+    assert len(parses) == 2
 
 
 def test_load_rejects_invalid_structure(tmp_path, fs_model):
@@ -123,3 +141,60 @@ def test_load_rejects_bad_json(tmp_path):
     path.write_text("not json at all{")
     with pytest.raises(CurvlabError):
         load_model(path)
+
+
+def test_same_bytes_parse_once_and_share_the_model(tmp_path, fs_model, parses):
+    doc = {
+        "dim": 4,
+        "J": fs_model.structure.matrix.tolist(),
+        "A": {"storage": "dense", "entries": fs_model.tensor.entries.tolist()},
+        "metadata": {"kind": "fubini-study", "tags": ["a", "b"]},
+    }
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps(doc))
+    first = load_model(path)
+    first.metadata["kind"] = "changed"
+    first.metadata["tags"].append("c")
+    second = load_model(path)
+    assert len(parses) == 1
+    assert second.model is first.model
+    # shared between callers, so nobody may write to it
+    assert not second.model.tensor.entries.flags.writeable
+    assert not second.model.structure.matrix.flags.writeable
+    assert second.metadata == {"kind": "fubini-study", "tags": ["a", "b"]}
+
+
+def test_rewritten_file_parses_again_and_same_bytes_elsewhere_hit(tmp_path, fs_model, parses):
+    path, other = tmp_path / "model.json", tmp_path / "copy.json"
+    save_model(fs_model, path)
+    fs_bytes = path.read_bytes()
+    first = load_model(path)
+    save_model(ComplexModel(fs_model.structure, random_curvature_tensor(4, seed=5)), path)
+    rewritten = load_model(path)
+    assert len(parses) == 2 and rewritten.model is not first.model
+    other.write_bytes(fs_bytes)
+    assert load_model(other).model is first.model
+    assert len(parses) == 2
+
+
+def test_tolerance_is_part_of_the_key(tmp_path, fs_model, parses):
+    path = tmp_path / "fs.json"
+    save_model(fs_model, path)
+    default, loose = load_model(path), load_model(path, tol=1e-6)
+    assert len(parses) == 2 and default.model is not loose.model
+    assert load_model(path).model is default.model
+    assert load_model(path, tol=1e-6).model is loose.model
+    assert len(parses) == 2
+
+
+def test_ninth_file_evicts_the_first(tmp_path, fs_model, parses):
+    paths = []
+    for seed in range(9):
+        paths.append(tmp_path / f"r{seed}.json")
+        save_model(ComplexModel(fs_model.structure, random_curvature_tensor(4, seed=seed)), paths[-1])
+    models = [load_model(path).model for path in paths]
+    assert len(parses) == 9
+    assert load_model(paths[-1]).model is models[-1]
+    assert len(parses) == 9
+    assert load_model(paths[0]).model is not models[0]
+    assert len(parses) == 10
