@@ -28,8 +28,8 @@ from .constructions import (
     twistor_point_model,
 )
 from .errors import CurvlabError, InvalidVectorError
-from .identities import CHECKS, run_check, subspace_dimension
-from .modelio import load_matrix, load_model, save_model
+from .identities import CHECKS, IdentityReport, run_check, subspace_dimension
+from .modelio import load_matrix, load_model, save_matrix, save_model
 from .operators import complex_jacobi, jacobi, merged_spectrum
 from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure
 from .tensors import (
@@ -43,52 +43,40 @@ from .tensors import (
 BUILD_KINDS = ("a0", "fubini-study", "counterexample", "twistor", "random")
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value) if np.isfinite(value) else None  # JSON has no NaN
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+def _emit(command: str, reports: list[IdentityReport], status: int, extra: dict, output: str) -> None:
+    """Print what a command returned, as text or JSON.
 
-
-def _result(name: str, holds: bool, residual: float, witness) -> dict:
-    return {
-        "name": name,
-        "holds": bool(holds),
-        "residual": float(residual),
-        "witness": _jsonable(witness),
-    }
-
-
-def _emit(report: dict, output: str) -> None:
+    Each ``_cmd_*`` returns ``(command, reports, status, extra)``: the command
+    line, its reports, the exit code and the further JSON entries, ``lines``
+    (printed as text too) and ``spectra``.
+    """
+    results = [report.to_json() for report in reports]
     if output == "json":
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False))
+        doc = {"command": command, "results": results, "status": status, **extra}
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return
-    print(report["command"])
-    for res in report.get("results", ()):
-        mark = "pass" if res["holds"] else "FAIL"
-        print(f"  {res['name']:<18} {mark}  residual {res['residual']:.3e}")
-        if not res["holds"] and res.get("witness"):
+    print(command)
+    for report, res in zip(reports, results):
+        mark = "pass" if report.holds else "FAIL"
+        print(f"  {report.name:<18} {mark}  residual {report.worst_residual:.3e}")
+        if not report.holds and res["witness"]:
             print(f"    witness: {res['witness']}")
-    for line in report.get("lines", ()):
+    for line in extra.get("lines", ()):
         print(line)
-    print(f"status {report['status']}")
+    print(f"status {status}")
 
 
-def _cmd_build(args) -> dict:
+def _done(name: str, args, witness: tuple = ()) -> IdentityReport:
+    """The report of a command that computes rather than checks: it always holds."""
+    return IdentityReport(name, True, 0.0, witness, args.tol)
+
+
+def _cmd_build(args):
     m = args.m
     seed = args.seed
+    if args.kind != "twistor" and (args.theta_out or args.pullback_out):
+        raise CurvlabError(f"--theta-out and --pullback-out apply to twistor models only, not {args.kind!r}")
     metadata = {"kind": args.kind, "dim": m, "seed": seed}
-    theta = None
-    pulled = None
     if args.kind == "a0":
         model = ComplexModel(standard_complex_structure(m), build_A0(m))
     elif args.kind == "fubini-study":
@@ -98,41 +86,29 @@ def _cmd_build(args) -> dict:
         model = counterexample_model(m)
     elif args.kind == "twistor":
         model, theta = twistor_point_model(m)
-        pulled = ComplexModel(model.structure, pullback(theta, model.tensor))
     elif args.kind == "random":
         model = ComplexModel(standard_complex_structure(m), random_curvature_tensor(m, seed))
     else:
         raise CurvlabError(f"unknown build kind {args.kind!r}")
     save_model(model, args.out, storage=args.storage, metadata=metadata)
     lines = [f"wrote {args.out}"]
-    if args.theta_out and theta is not None:
-        from .modelio import save_matrix
-
+    if args.theta_out:
         save_matrix(theta.matrix, args.theta_out)
         lines.append(f"wrote {args.theta_out}")
-    if args.pullback_out and pulled is not None:
+    if args.pullback_out:
+        pulled = ComplexModel(model.structure, pullback(theta, model.tensor))
         save_model(pulled, args.pullback_out, storage=args.storage, metadata={**metadata, "kind": "twistor-pullback"})
         lines.append(f"wrote {args.pullback_out}")
-    return {
-        "command": f"build {args.kind} --m {m} --seed {seed}",
-        "results": [_result("build", True, 0.0, ())],
-        "lines": lines,
-        "status": 0,
-    }
+    return f"build {args.kind} --m {m} --seed {seed}", [_done("build", args)], 0, {"lines": lines}
 
 
-def _cmd_check(args) -> dict:
+def _cmd_check(args):
     loaded = load_model(args.model, tol=args.tol)
     reports = [
         run_check(name, loaded.model, args.tol, args.seed, args.samples) for name in args.identities
     ]
-    results = [_result(r.name, r.holds, r.worst_residual, r.witness) for r in reports]
-    status = 0 if all(r["holds"] for r in results) else 1
-    return {
-        "command": f"check {args.model} " + " ".join(args.identities),
-        "results": results,
-        "status": status,
-    }
+    status = 0 if all(r.holds for r in reports) else 1
+    return f"check {args.model} " + " ".join(args.identities), reports, status, {}
 
 
 def _unit_vector(text: str) -> np.ndarray:
@@ -152,7 +128,7 @@ def _unit_vector(text: str) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _cmd_spectra(args) -> dict:
+def _cmd_spectra(args):
     loaded = load_model(args.model, tol=args.tol)
     model = loaded.model
     spectra = []
@@ -182,16 +158,11 @@ def _cmd_spectra(args) -> dict:
             {"line_of_vector": vec.tolist(), "eigenvalues": [[v, mult] for v, mult in spec]}
         )
         lines_out.append("  complex jacobi: " + ", ".join(f"{v:.6g} (x{mult})" for v, mult in spec))
-    return {
-        "command": f"spectra {args.model} --at {args.at}",
-        "results": [_result("spectra", True, 0.0, ())],
-        "spectra": spectra,
-        "lines": lines_out,
-        "status": 0,
-    }
+    extra = {"spectra": spectra, "lines": lines_out}
+    return f"spectra {args.model} --at {args.at}", [_done("spectra", args)], 0, extra
 
 
-def _cmd_reconstruct(args) -> dict:
+def _cmd_reconstruct(args):
     loaded = load_model(args.model, tol=args.tol)
     model = loaded.model
     if args.mode == "jacobi":
@@ -204,15 +175,12 @@ def _cmd_reconstruct(args) -> dict:
     rel = diff.norm() / (1.0 + model.tensor.norm())
     out_model = ComplexModel(model.structure, recon)
     save_model(out_model, args.out, metadata={"kind": f"reconstructed-{args.mode}", "source": args.model})
-    return {
-        "command": f"reconstruct {args.model} --mode {args.mode}",
-        "results": [_result(f"reconstruct-{args.mode}", rel <= 1e-8, rel, ())],
-        "lines": [f"wrote {args.out}", f"round-trip relative error {rel:.3e}"],
-        "status": 0 if rel <= 1e-8 else 1,
-    }
+    report = IdentityReport(f"reconstruct-{args.mode}", bool(rel <= 1e-8), rel, (), 1e-8)
+    lines = [f"wrote {args.out}", f"round-trip relative error {rel:.3e}"]
+    return f"reconstruct {args.model} --mode {args.mode}", [report], int(not report.holds), {"lines": lines}
 
 
-def _cmd_diff(args) -> dict:
+def _cmd_diff(args):
     loaded_a = load_model(args.model_a, tol=args.tol)
     loaded_b = load_model(args.model_b, tol=args.tol)
     if args.theta:
@@ -228,19 +196,12 @@ def _cmd_diff(args) -> dict:
         f"  eight-term identity: model A {'yes' if det['gray_yano_a'] else 'no'}, "
         f"model B {'yes' if det['gray_yano_b'] else 'no'}",
     ]
-    results = [
-        _result("jacobi-equivalence", rep.holds, rep.worst_residual, rep.witness),
-        _result("tensors-equal", det["tensors_equal"], det["difference_norm"], ()),
-    ]
-    return {
-        "command": f"diff {args.model_a} {args.model_b}",
-        "results": results,
-        "lines": lines,
-        "status": 0 if rep.holds else 1,
-    }
+    equal = IdentityReport("tensors-equal", det["tensors_equal"], det["difference_norm"], (), args.tol)
+    # the exit code follows jacobi-equivalence alone; tensors-equal is reported alongside
+    return f"diff {args.model_a} {args.model_b}", [rep, equal], int(not rep.holds), {"lines": lines}
 
 
-def _cmd_subspace_dim(args) -> dict:
+def _cmd_subspace_dim(args):
     if args.j == "standard":
         structure = standard_complex_structure(args.m)
     else:
@@ -249,12 +210,8 @@ def _cmd_subspace_dim(args) -> dict:
         structure = validate_complex_structure(load_matrix(args.j, key="J"), tol=args.tol)
     tags = [t for t in args.constraints.split(",") if t] if args.constraints else []
     dim = subspace_dimension(tags, args.m, structure)
-    return {
-        "command": f"subspace-dim --m {args.m} --constraints {args.constraints or ''}",
-        "results": [_result("dimension", True, 0.0, (dim,))],
-        "lines": [str(dim)],
-        "status": 0,
-    }
+    command = f"subspace-dim --m {args.m} --constraints {args.constraints or ''}"
+    return command, [_done("dimension", args, (dim,))], 0, {"lines": [str(dim)]}
 
 
 def non_negative_int(text: str) -> int:
@@ -354,7 +311,7 @@ def main(argv=None) -> int:
             print(f"error: unknown identity {name!r}; known: {', '.join(CHECKS)}", file=sys.stderr)
             return 2
     try:
-        report = args.func(args)
+        command, reports, status, extra = args.func(args)
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -365,8 +322,8 @@ def main(argv=None) -> int:
         at = f" at m = {args.m}" if hasattr(args, "m") else ""
         print(f"error: {args.cmd} ran out of memory{at}", file=sys.stderr)
         return 2
-    _emit(report, args.output)
-    return int(report["status"])
+    _emit(command, reports, status, extra, args.output)
+    return status
 
 
 if __name__ == "__main__":

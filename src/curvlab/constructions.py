@@ -12,7 +12,7 @@ curvature space; the map to complex Jacobi data has kernel a2perp by Lemma
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -231,12 +231,9 @@ def jacobi_equivalence_check(
             "complex Jacobi data agree and both tensors satisfy the eight-term identity, "
             f"yet the difference has norm {diff_norm:.3e}"
         )
-    return IdentityReport(
+    return replace(
+        battery,
         name="jacobi-equivalence",
-        holds=battery.holds,
-        worst_residual=battery.worst_residual,
-        witness=battery.witness,
-        tolerance=tol,
         details={
             "difference_norm": diff_norm,
             "tensors_equal": tensors_equal,

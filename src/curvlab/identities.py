@@ -10,6 +10,7 @@ free; the default tolerance is 1e-10.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -61,6 +62,24 @@ class IdentityReport:
     witness: tuple
     tolerance: float
     details: Mapping | None = None
+
+    def to_json(self) -> dict:
+        """The verdict as JSON data: name, holds, residual and witness.
+
+        JSON has no NaN, so a non-finite residual (a failed precondition's NaN)
+        becomes None; nested witness tuples become lists.
+        """
+        residual = float(self.worst_residual)
+        return {
+            "name": self.name,
+            "holds": bool(self.holds),
+            "residual": residual if math.isfinite(residual) else None,
+            "witness": _listed(self.witness),
+        }
+
+
+def _listed(value):
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 # J-slot images of the last read-only, unbatched tensor passed to ``arranged``:
@@ -201,43 +220,40 @@ def _worst_entry(defect: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(np.max(np.abs(defect))), tuple(int(v) for v in idx)
 
 
-def _condition(worst: float, witness: tuple, tol: float) -> dict:
-    """One sub-condition of a battery: its verdict, residual and witness."""
-    return {"holds": bool(worst <= tol), "residual": worst, "witness": witness}
+def _report(name: str, worst: float, witness: tuple, tol: float, details=None) -> IdentityReport:
+    """The verdict of a check or of one battery condition: it holds when worst <= tol."""
+    return IdentityReport(name, bool(worst <= tol), worst, witness, tol, details)
 
 
-def _line_condition(lines, stack: np.ndarray, scale: float, tol: float) -> dict:
+def _line_report(name: str, lines, stack: np.ndarray, scale: float, tol: float) -> IdentityReport:
     """Worst normalized max-entry over an (L, m, m) stack; ties go to the last line."""
     residuals = np.max(np.abs(stack), axis=(1, 2)) / scale
     index = len(lines) - 1 - int(np.argmax(residuals[::-1]))
     witness = ("line", index, tuple(lines[index].representative.tolist()))
-    return _condition(float(residuals[index]), witness, tol)
+    return _report(name, float(residuals[index]), witness, tol)
 
 
-def _quadruple_condition(defect: np.ndarray, scale: float, tol: float) -> dict:
+def _quadruple_report(
+    name: str, defect: np.ndarray, scale: float, tol: float, details=None
+) -> IdentityReport:
+    """Worst normalized entry of a defect tensor, witnessed by its quadruple."""
     worst, quadruple = _worst_entry(defect)
-    return _condition(worst / scale, ("quadruple",) + quadruple, tol)
+    return _report(name, worst / scale, ("quadruple",) + quadruple, tol, details)
 
 
-def _tensor_report(name, defect, scale, tol, extra=None) -> IdentityReport:
-    cond = _quadruple_condition(defect, scale, tol)
-    return IdentityReport(name, cond["holds"], cond["residual"], cond["witness"], tol, extra)
-
-
-def _battery(name: str, conditions: dict[str, dict], tol: float) -> IdentityReport:
-    """Report on provably equivalent conditions, witnessed by the worst one.
+def _battery(name: str, conditions: list[IdentityReport], tol: float) -> IdentityReport:
+    """Report on provably equivalent conditions, witnessed by the worst one;
+    ``details`` maps each condition's name to its report.
 
     The conditions must agree; disagreement raises, as it can only be an
     implementation bug.
     """
-    booleans = [cond["holds"] for cond in conditions.values()]
-    if len(set(booleans)) > 1:
+    if len({cond.holds for cond in conditions}) > 1:
         raise EquivalenceViolationError(
-            f"{name} conditions disagree: "
-            + ", ".join(f"{k}={cond['holds']}" for k, cond in conditions.items())
+            f"{name} conditions disagree: " + ", ".join(f"{cond.name}={cond.holds}" for cond in conditions)
         )
-    worst = max(conditions.values(), key=lambda cond: cond["residual"])
-    return IdentityReport(name, all(booleans), worst["residual"], worst["witness"], tol, conditions)
+    worst = max(conditions, key=lambda cond: cond.worst_residual)
+    return _report(name, worst.worst_residual, worst.witness, tol, {cond.name: cond for cond in conditions})
 
 
 def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -248,14 +264,7 @@ def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityR
     residuals = symmetry_residuals(model.tensor.entries)
     family = max(residuals, key=lambda k: residuals[k][0])
     worst, quadruple = residuals[family]
-    worst /= _scale(model.tensor.entries)
-    return IdentityReport(
-        name="symmetries",
-        holds=bool(worst <= tol),
-        worst_residual=worst,
-        witness=(family,) + quadruple,
-        tolerance=tol,
-    )
+    return _report("symmetries", worst / _scale(model.tensor.entries), (family,) + quadruple, tol)
 
 
 def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -272,14 +281,15 @@ def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_T
     scale = _scale(a)
     lines = spanning_lines(model.structure)
     requested = (1, 2, 3) if which == "all" else (int(which),)
-    results: dict[str, dict] = {}
+    results = []
     for cond in requested:
+        name = f"condition_{cond}"
         if cond == 1:
-            results["condition_1"] = _quadruple_condition(_a3_defect(a, jmat), scale, tol)
+            results.append(_quadruple_report(name, _a3_defect(a, jmat), scale, tol))
         elif cond in (2, 3):
             operator = complex_jacobi if cond == 2 else complex_curvature_operator
             ops = operator(model.tensor, model.structure, lines).matrix
-            results[f"condition_{cond}"] = _line_condition(lines, ops @ jmat - jmat @ ops, scale, tol)
+            results.append(_line_report(name, lines, ops @ jmat - jmat @ ops, scale, tol))
         else:
             raise ValueError(f"unknown compatibility condition {which!r}")
     return _battery("compatibility", results, tol)
@@ -340,16 +350,8 @@ def check_vanhecke(
     )
     residuals = np.abs(lhs - rhs) / _scale(a)
     worst_at = int(np.argmax(residuals))
-    worst = float(residuals[worst_at])
     witness = ("pair", tuple(x_arr[worst_at].tolist()), tuple(y_arr[worst_at].tolist()))
-    return IdentityReport(
-        name="vanhecke",
-        holds=bool(worst <= tol),
-        worst_residual=worst,
-        witness=witness,
-        tolerance=tol,
-        details={"pairs": len(xs)},
-    )
+    return _report("vanhecke", float(residuals[worst_at]), witness, tol, {"pairs": len(xs)})
 
 
 def check_sato(
@@ -374,7 +376,7 @@ def check_sato(
             )
         c_used = float(np.mean(q_values)) if c is None else float(c)
         defect = _sato1_defect(a, model.structure, c_used)
-        return _tensor_report("sato1", defect, scale, tol, extra={"c": c_used})
+        return _quadruple_report("sato1", defect, scale, tol, {"c": c_used})
     if variant == 2:
         worst_q = float(np.max(np.abs(q_values)))
         if worst_q > tol * scale:
@@ -382,7 +384,7 @@ def check_sato(
                 f"max |Q| = {worst_q:.3e} on the spanning lines; variant 2 needs Q identically zero"
             )
         defect = _sato2_defect(a, model.structure.matrix)
-        return _tensor_report("sato2", defect, scale, tol)
+        return _quadruple_report("sato2", defect, scale, tol)
     raise ValueError(f"unknown variant {variant!r}, expected 1 or 2")
 
 
@@ -404,17 +406,16 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     lines = spanning_lines(model.structure)
     jacobi_ops = complex_jacobi(model.tensor, model.structure, lines).matrix
     curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines).matrix
-    conditions = {
-        "a_complex_jacobi_zero": _line_condition(lines, jacobi_ops, scale, tol),
-        "b_pairwise_J_flip": _quadruple_condition(_a2perp_defect(a, jmat), scale, tol),
-        "c_complex_curvature_zero": _line_condition(lines, curvature_ops, scale, tol),
-    }
+    conditions = [
+        _line_report("a_complex_jacobi_zero", lines, jacobi_ops, scale, tol),
+        _quadruple_report("b_pairwise_J_flip", _a2perp_defect(a, jmat), scale, tol),
+        _line_report("c_complex_curvature_zero", lines, curvature_ops, scale, tol),
+    ]
     d1, d2 = _hop_defects(a, jmat)
     worst1, q1 = _worst_entry(d1)
     worst2, q2 = _worst_entry(d2)
-    conditions["d_slot_hopping"] = _condition(
-        max(worst1, worst2) / scale, ("quadruple",) + (q1 if worst1 >= worst2 else q2), tol
-    )
+    hop_witness = ("quadruple",) + (q1 if worst1 >= worst2 else q2)
+    conditions.append(_report("d_slot_hopping", max(worst1, worst2) / scale, hop_witness, tol))
     report = _battery("lemma23", conditions, tol)
     if not report.holds:
         return report
@@ -428,7 +429,7 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
             f"compatible={compatible}"
         )
     extras = {"ricci_residual": rho, "star_ricci_residual": rho_star, "compatible": compatible}
-    return replace(report, details={**conditions, **extras})
+    return replace(report, details={**report.details, **extras})
 
 
 def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -447,14 +448,8 @@ def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRepo
         "a3": _worst_entry(_a3_defect(a, jmat))[0] / scale,
         "a2perp": _worst_entry(_a2perp_defect(a, jmat))[0] / scale,
     }
-    return IdentityReport(
-        name="gray-classify",
-        holds=bool(residuals["a3"] <= tol),
-        worst_residual=residuals["a3"],
-        witness=tuple((cls, bool(r <= tol)) for cls, r in residuals.items()),
-        tolerance=tol,
-        details=residuals,
-    )
+    membership = tuple((cls, bool(r <= tol)) for cls, r in residuals.items())
+    return _report("gray-classify", residuals["a3"], membership, tol, residuals)
 
 
 def p2_map(model: ComplexModel, tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
@@ -488,7 +483,7 @@ def check_gray_yano(
     nearly-parallel classes; linear in A, so checking all basis quadruples is
     exhaustive."""
     defect = _gray_defect(tensor.entries, structure.matrix)
-    return _tensor_report("gray-yano", defect, _scale(tensor.entries), tol)
+    return _quadruple_report("gray-yano", defect, _scale(tensor.entries), tol)
 
 
 # The check catalogue behind ``curvlab check``: name -> (model, tol, seed,
@@ -520,13 +515,7 @@ def run_check(
     try:
         return CHECKS[name](model, tol, seed, samples)
     except PreconditionError as exc:
-        return IdentityReport(
-            name=name,
-            holds=False,
-            worst_residual=float("nan"),
-            witness=("precondition", str(exc)),
-            tolerance=tol,
-        )
+        return _report(name, float("nan"), ("precondition", str(exc)), tol)
 
 
 CONSTRAINT_TAGS = ("a1", "a2", "a3", "a2perp", "gray-yano", "compatibility")

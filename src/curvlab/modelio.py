@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CurvlabError, ModelFormatError, NonFiniteEntryError, SparseEntryConflictError
 from .spaces import DEFAULT_TOL, cached_by_key, validate_complex_structure
-from .tensors import ComplexModel, validate_or_project
+from .tensors import _PAIR_ENTRY_IMAGES, ComplexModel, validate_or_project
 
 SPARSE_CONFLICT_TOL = 1e-12
 
@@ -27,6 +27,9 @@ SPARSE_CONFLICT_TOL = 1e-12
 # deeply nested document a RecursionError, an integer beyond float range an
 # OverflowError
 _MALFORMED = (KeyError, TypeError, ValueError, RecursionError, OverflowError)
+
+# The signed symmetry orbit of an index quadruple: one getter per image
+_ORBIT = tuple((operator.itemgetter(*perm), sign) for perm, sign in _PAIR_ENTRY_IMAGES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,38 +40,25 @@ class ModelFile:
     metadata: dict
 
 
-def _orbit(i: int, j: int, k: int, l: int):
-    # Sign orbit under first-pair swap (-), last-pair swap (-) and pair exchange (+).
-    return (
-        ((i, j, k, l), 1.0),
-        ((j, i, k, l), -1.0),
-        ((i, j, l, k), -1.0),
-        ((j, i, l, k), 1.0),
-        ((k, l, i, j), 1.0),
-        ((l, k, i, j), -1.0),
-        ((k, l, j, i), -1.0),
-        ((l, k, j, i), 1.0),
-    )
-
-
 def _complete_sparse(dim: int, items) -> np.ndarray:
     entries = np.zeros((dim,) * 4)
     seen = np.zeros((dim,) * 4, dtype=bool)
     for item in items:
         if len(item) != 5:
             raise ModelFormatError(f"sparse entry {item!r} is not [i, j, k, l, value]")
-        i, j, k, l = (operator.index(v) for v in item[:4])  # rejects fractional indices
+        index = tuple(operator.index(v) for v in item[:4])  # rejects fractional indices
         value = float(item[4])
         if not np.isfinite(value):  # before inf - inf in the conflict check
             raise NonFiniteEntryError(f"sparse entry {item!r} is not finite")
-        for quad, sign in _orbit(i, j, k, l):
+        for image, sign in _ORBIT:
+            quad = image(index)
             if any(q < 0 or q >= dim for q in quad):
                 raise CurvlabError(f"sparse entry index {quad} out of range for dim {dim}")
             implied = sign * value
             # Python floats: a numpy difference of +-1e308 overflows with a warning
             if seen[quad] and abs(float(entries[quad]) - implied) > SPARSE_CONFLICT_TOL:
                 raise SparseEntryConflictError(
-                    f"orbit of {(i, j, k, l)} implies {implied} at {quad}, "
+                    f"orbit of {index} implies {implied} at {quad}, "
                     f"but {entries[quad]} was already stored"
                 )
             entries[quad] = implied
@@ -79,10 +69,9 @@ def _complete_sparse(dim: int, items) -> np.ndarray:
 def _sparse_items(entries: np.ndarray) -> list[list]:
     items = []
     for quad in np.argwhere(entries != 0.0):
-        i, j, k, l = (int(v) for v in quad)
-        rep = min(q for q, _ in _orbit(i, j, k, l))
-        if (i, j, k, l) == rep:
-            items.append([i, j, k, l, float(entries[i, j, k, l])])
+        index = tuple(int(v) for v in quad)
+        if index == min(image(index) for image, _ in _ORBIT):
+            items.append([*index, float(entries[index])])
     return items
 
 

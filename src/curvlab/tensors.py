@@ -213,7 +213,8 @@ class CurvatureBasis:
 
 
 # The eight index images of a pair entry (ij, kl) and their signs under
-# first-pair antisymmetry, second-pair antisymmetry and pair swap.
+# first-pair antisymmetry, second-pair antisymmetry and pair swap; the sparse
+# model files of modelio store one entry per such orbit.
 _PAIR_ENTRY_IMAGES = (
     ((0, 1, 2, 3), 1.0),
     ((1, 0, 2, 3), -1.0),

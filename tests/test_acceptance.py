@@ -8,6 +8,7 @@ from curvlab import (
     AlgebraicCurvatureTensor,
     ComplexJacobiOracle,
     ComplexModel,
+    IdentityReport,
     JacobiOracle,
     build_A0,
     build_APhi,
@@ -120,13 +121,13 @@ def test_c05_equivalence_batteries_agree(m):
             tensor = project_to_constraints(tensor, structure, tags)
         model = ComplexModel(structure, tensor)
         compat = check_compatibility(model, "all")
-        booleans = {cond["holds"] for cond in compat.details.values()}
+        booleans = {cond.holds for cond in compat.details.values()}
         assert len(booleans) == 1
         battery = lemma23_battery(model)
         booleans = {
-            cond["holds"]
+            cond.holds
             for cond in battery.details.values()
-            if isinstance(cond, dict) and "holds" in cond
+            if isinstance(cond, IdentityReport)
         }
         assert len(booleans) == 1
         checked += 1

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import curvlab
 
 from curvlab import build_A0, load_model
 from curvlab.cli import main
-from curvlab.identities import CHECKS
+from curvlab.identities import CHECKS, run_check
 
 
 def run(capsys, *argv):
@@ -75,6 +76,56 @@ def test_json_report_schema(tmp_path, capsys):
     assert by_name["gray-classify"]["witness"] == [
         ["a1", True], ["a2", True], ["a3", True], ["a2perp", False]
     ]
+
+
+@pytest.mark.parametrize("kind", ["fubini-study", "counterexample", "twistor", "random"])
+def test_check_results_are_the_reports_json(tmp_path, capsys, kind):
+    path = tmp_path / "model.json"
+    run(capsys, "build", kind, "--m", "4", "--seed", "1", "--out", str(path))
+    flags = ["--output", "json", "--tol", "1e-10", "--seed", "2", "--samples", "3"]
+    _, out, _ = run(capsys, *flags, "check", str(path), *CHECKS)
+    model = load_model(path).model
+    expected = [run_check(name, model, 1e-10, 2, 3).to_json() for name in CHECKS]
+    assert json.loads(out)["results"] == expected
+
+
+def _text_results(out: str) -> list[tuple[str, str, str]]:
+    """(name, mark, residual) of each result line of a text report."""
+    return re.findall(r"^  (\S+) +(pass|FAIL)  residual (\S+)$", out, flags=re.MULTILINE)
+
+
+def _json_results(out: str) -> list[tuple[str, str, str]]:
+    results = json.loads(out)["results"]
+    residuals = ["nan" if res["residual"] is None else f"{res['residual']:.3e}" for res in results]
+    return [(res["name"], "pass" if res["holds"] else "FAIL", r) for res, r in zip(results, residuals)]
+
+
+def test_text_and_json_list_the_same_results(tmp_path, capsys):
+    tw, twp, theta = (str(tmp_path / name) for name in ("tw.json", "twp.json", "theta.json"))
+    fs, a0 = str(tmp_path / "fs.json"), str(tmp_path / "a0.json")
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", fs)
+    commands = [
+        ["build", "a0", "--m", "4", "--out", a0],
+        ["build", "twistor", "--m", "4", "--out", tw, "--theta-out", theta, "--pullback-out", twp],
+        ["check", fs, *CHECKS],
+        ["check", a0, *CHECKS],
+        ["spectra", fs],
+        ["spectra", tw, "--at", "1,0,0,0"],
+        ["reconstruct", tw, "--mode", "jacobi", "--out", str(tmp_path / "rj.json")],
+        ["reconstruct", tw, "--mode", "complex-jacobi", "--out", str(tmp_path / "rc.json")],
+        ["diff", tw, twp],
+        ["diff", a0, fs],
+        ["subspace-dim", "--m", "4", "--constraints", "a2perp"],
+    ]
+    marks = set()
+    for argv in commands:
+        text_code, text, _ = run(capsys, "--output", "text", *argv)
+        json_code, doc, _ = run(capsys, "--output", "json", *argv)
+        assert text_code == json_code
+        assert _text_results(text) == _json_results(doc) != []
+        marks.update((mark, residual == "nan") for _, mark, residual in _json_results(doc))
+    # passes, failures and a failed precondition's NaN residual are all compared
+    assert marks == {("pass", False), ("FAIL", False), ("FAIL", True)}
 
 
 def test_unknown_identity_is_usage_error(tmp_path, capsys):
@@ -393,6 +444,17 @@ def test_sparse_storage_build(tmp_path, capsys):
     np.testing.assert_allclose(loaded.model.tensor.entries, build_A0(4).entries, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["a0", "random"])
+@pytest.mark.parametrize("flag", ["--theta-out", "--pullback-out"])
+def test_twistor_only_outputs_reject_other_kinds(tmp_path, capsys, kind, flag):
+    out_flags = ["--out", str(tmp_path / "model.json"), flag, str(tmp_path / "extra.json")]
+    code, out, err = run(capsys, "build", kind, "--m", "4", *out_flags)
+    assert code == 2
+    assert err.startswith("error: ") and flag in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_gallery_script(tmp_path, monkeypatch, capsys):
     # the gallery drives build, check, diff and spectra through the CLI and
     # exits with a message on the first command that does not return 0
@@ -402,3 +464,14 @@ def test_model_gallery_script(tmp_path, monkeypatch, capsys):
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
     assert (tmp_path / "twistor_pullback.json").exists()
+
+
+def test_discrepancy_audit_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "discrepancy_audit.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--m", "4", "--json"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(json.dumps(curvlab.discrepancy_audit(4, seed=0)))
+    assert not report["jacobi_K_coefficient"]["agrees"]

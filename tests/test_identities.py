@@ -8,6 +8,7 @@ from curvlab import (
     CHECKS,
     AlgebraicCurvatureTensor,
     ComplexModel,
+    IdentityReport,
     NotCompatibleError,
     NotInA3Error,
     QNotConstantError,
@@ -33,6 +34,7 @@ from curvlab import (
     subspace_dimension,
     subspace_tensor_basis,
     tensor_inner_product,
+    twistor_point_model,
     validate_complex_structure,
 )
 from curvlab import identities
@@ -55,7 +57,7 @@ def fs_model(j4):
 def test_a0_compatible_all_conditions(j4):
     rep = check_compatibility(ComplexModel(j4, build_A0(4)), "all")
     assert rep.holds
-    assert all(cond["holds"] for cond in rep.details.values())
+    assert all(cond.holds for cond in rep.details.values())
 
 
 def test_fubini_study_compatible(fs_model):
@@ -139,8 +141,9 @@ def test_lemma23_battery_on_counterexample():
 def test_lemma23_battery_all_false_on_a0(j4):
     rep = lemma23_battery(ComplexModel(j4, build_A0(4)))
     assert not rep.holds
-    conds = [v for k, v in rep.details.items() if isinstance(v, dict) and "holds" in v]
-    assert all(not cond["holds"] for cond in conds)
+    conds = [v for k, v in rep.details.items() if isinstance(v, IdentityReport)]
+    assert len(conds) == 4
+    assert all(not cond.holds for cond in conds)
 
 
 def test_lemma23_battery_vacuous_on_zero(j4):
@@ -333,6 +336,41 @@ def test_run_check_turns_precondition_into_failure(j4, name):
     assert np.isnan(rep.worst_residual)
     assert rep.witness[0] == "precondition"
     assert "not compatible" in rep.witness[1]
+
+
+def test_report_to_json():
+    rep = IdentityReport("x", False, float("nan"), ("pair", (1.0, 0.0), ((2, 3), "k")), 1e-10, {"c": 1.0})
+    doc = rep.to_json()
+    assert set(doc) == {"name", "holds", "residual", "witness"}
+    assert doc == {
+        "name": "x",
+        "holds": False,
+        "residual": None,
+        "witness": ["pair", [1.0, 0.0], [[2, 3], "k"]],
+    }
+    assert IdentityReport("y", True, 0.25, (), 1.0).to_json()["residual"] == 0.25
+
+
+def _models_m4():
+    j4 = standard_complex_structure(4)
+    return {
+        "fubini-study": ComplexModel(j4, build_A0(4) + build_APhi(j4)),
+        "counterexample": counterexample_model(4),
+        "twistor": twistor_point_model(4)[0],
+        "random": ComplexModel(j4, random_curvature_tensor(4, seed=1)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fubini-study", "counterexample", "twistor", "random"])
+def test_every_report_holds_iff_within_tolerance(kind):
+    model = _models_m4()[kind]
+    for name in CHECKS:
+        rep = run_check(name, model, seed=2, samples=3)
+        subs = [v for v in (rep.details or {}).values() if isinstance(v, IdentityReport)]
+        if name in ("compatibility", "lemma23"):
+            assert len(subs) == (3 if name == "compatibility" else 4)
+        for report in (rep, *subs):
+            assert report.holds == (report.worst_residual <= report.tolerance), (name, report.name)
 
 
 def _arranged_patterns():
