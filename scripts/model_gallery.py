@@ -4,6 +4,8 @@
 Writes a0, fubini-study, counterexample and twistor models (plus the twistor
 isometry and its pullback) into a directory, then replays the checks that
 characterize them through the CLI entry points, stopping at the first failure.
+The Kaehler model is also rebuilt from its Jacobi and from its complex Jacobi
+operators, and each reconstruction is written next to it.
 
 Usage: python3 scripts/model_gallery.py [--dir gallery] [--m 4]
 """
@@ -47,6 +49,10 @@ def main() -> int:
         "compatibility", "vanhecke", "sato1", "gray-classify", "gray-yano",
         "--samples", "25",
     )
+    print("\n-- Kaehler model: recovered from its Jacobi and from its complex Jacobi operators --")
+    for mode in ("jacobi", "complex-jacobi"):
+        run("reconstruct", str(out / "fubini_study.json"), "--mode", mode,
+            "--out", str(out / f"fubini_study_from_{mode.replace('-', '_')}.json"))
     print("\n-- quaternionic model: nonzero tensor, vanishing complex Jacobi data --")
     run("check", str(out / "counterexample.json"), "lemma23", "sato2")
     print("\n-- twistor model: isometry moves the tensor but not the line data --")

@@ -146,68 +146,62 @@ def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, s
     return np.transpose(image, list(range(batch)) + [batch + order.index(slot_of[axis]) for axis in range(4)])
 
 
-def _a1_defect(a, j):
-    return a - arranged(a, j, ("Jx", "Jy", "z", "w"))
+_A = ("x", "y", "z", "w")  # the pattern of A itself
+
+# Each quadruple identity as one row of (coefficient, slot pattern) terms: the
+# signed sum of arranged(A, J, pattern) over the row vanishes exactly on the
+# tensors that satisfy it.  a1 < a2 < a3 are Gray's classes, a2perp the flip
+# subspace, the hop rows the two slot-hopping identities of Lemma 2.3 (d).
+_ROWS: dict[str, tuple[tuple[float, tuple[str, str, str, str]], ...]] = {
+    "a1": ((1.0, _A), (-1.0, ("Jx", "Jy", "z", "w"))),
+    "a2": (
+        (1.0, _A),
+        (-1.0, ("Jx", "Jy", "z", "w")),
+        (-1.0, ("Jx", "y", "Jz", "w")),
+        (-1.0, ("Jx", "y", "z", "Jw")),
+    ),
+    "a3": ((1.0, _A), (-1.0, ("Jx", "Jy", "Jz", "Jw"))),
+    "a2perp": ((1.0, _A), (1.0, ("Jx", "Jy", "z", "w"))),
+    "gray-yano": (
+        (1.0, _A),
+        (1.0, ("Jx", "Jy", "Jz", "Jw")),
+        (-1.0, ("Jx", "Jy", "z", "w")),
+        (-1.0, ("x", "y", "Jz", "Jw")),
+        (-1.0, ("Jx", "y", "Jz", "w")),
+        (-1.0, ("x", "Jy", "z", "Jw")),
+        (-1.0, ("Jx", "y", "z", "Jw")),
+        (-1.0, ("x", "Jy", "Jz", "w")),
+    ),
+    "hop-xy": ((1.0, ("Jx", "y", "z", "w")), (-1.0, ("x", "Jy", "z", "w"))),
+    "hop-yz": ((1.0, ("x", "Jy", "z", "w")), (-1.0, ("x", "y", "Jz", "w"))),
+    "sato2": (
+        (3.0, _A),
+        (3.0, ("x", "y", "Jz", "Jw")),
+        (-1.0, ("x", "z", "Jw", "Jy")),
+        (1.0, ("x", "w", "Jz", "Jy")),
+        (1.0, ("x", "Jz", "w", "Jy")),
+        (-1.0, ("x", "Jw", "z", "Jy")),
+    ),
+}
 
 
-def _a2_defect(a, j):
-    return a - (
-        arranged(a, j, ("Jx", "Jy", "z", "w"))
-        + arranged(a, j, ("Jx", "y", "Jz", "w"))
-        + arranged(a, j, ("Jx", "y", "z", "Jw"))
-    )
-
-
-def _a3_defect(a, j):
-    return a - arranged(a, j, ("Jx", "Jy", "Jz", "Jw"))
-
-
-def _a2perp_defect(a, j):
-    return a + arranged(a, j, ("Jx", "Jy", "z", "w"))
-
-
-def _gray_defect(a, j):
-    rhs = (
-        arranged(a, j, ("Jx", "Jy", "z", "w"))
-        + arranged(a, j, ("x", "y", "Jz", "Jw"))
-        + arranged(a, j, ("Jx", "y", "Jz", "w"))
-        + arranged(a, j, ("x", "Jy", "z", "Jw"))
-        + arranged(a, j, ("Jx", "y", "z", "Jw"))
-        + arranged(a, j, ("x", "Jy", "Jz", "w"))
-    )
-    return a + arranged(a, j, ("Jx", "Jy", "Jz", "Jw")) - rhs
-
-
-def _hop_defects(a, j):
-    # J may hop between the first three slots: A(Jx,y,z,.) = A(x,Jy,z,.) = A(x,y,Jz,.)
-    d1 = arranged(a, j, ("Jx", "y", "z", "w")) - arranged(a, j, ("x", "Jy", "z", "w"))
-    d2 = arranged(a, j, ("x", "Jy", "z", "w")) - arranged(a, j, ("x", "y", "Jz", "w"))
-    return d1, d2
-
-
-def _sato2_defect(a, j):
-    return (
-        3.0 * a
-        + 3.0 * arranged(a, j, ("x", "y", "Jz", "Jw"))
-        - arranged(a, j, ("x", "z", "Jw", "Jy"))
-        + arranged(a, j, ("x", "w", "Jz", "Jy"))
-        + arranged(a, j, ("x", "Jz", "w", "Jy"))
-        - arranged(a, j, ("x", "Jw", "z", "Jy"))
-    )
+def _defect(name: str, a: np.ndarray, jmat: np.ndarray) -> np.ndarray:
+    """The signed sum of row ``name`` of ``_ROWS``, on a tensor or a leading-axis stack."""
+    total = np.zeros(a.shape)
+    for coef, pattern in _ROWS[name]:
+        # A itself needs no transpose, and a unit coefficient no product
+        term = a if pattern == _A else arranged(a, jmat, pattern)
+        if coef > 0:
+            total += term if coef == 1.0 else coef * term
+        else:
+            total -= term if coef == -1.0 else -coef * term
+    return total
 
 
 def _sato1_defect(a, structure: ComplexStructure, c: float):
-    j = structure.matrix
+    # A - (c/4)(A0 + A_J) - bracket/8, where the variant-1 bracket is 8A minus the sato2 sum
     canonical = build_A0(structure.dim).entries + build_APhi(structure).entries
-    bracket = (
-        5.0 * a
-        - 3.0 * arranged(a, j, ("x", "y", "Jz", "Jw"))
-        + arranged(a, j, ("x", "z", "Jw", "Jy"))
-        - arranged(a, j, ("x", "w", "Jz", "Jy"))
-        - arranged(a, j, ("x", "Jz", "w", "Jy"))
-        + arranged(a, j, ("x", "Jw", "z", "Jy"))
-    )
-    return a - (c / 4.0) * canonical - bracket / 8.0
+    return _defect("sato2", a, structure.matrix) / 8.0 - (c / 4.0) * canonical
 
 
 def _scale(entries: np.ndarray) -> float:
@@ -267,42 +261,35 @@ def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityR
     return _report("symmetries", worst / _scale(model.tensor.entries), (family,) + quadruple, tol)
 
 
-def check_compatibility(model: ComplexModel, which="all", tol: float = DEFAULT_TOL) -> IdentityReport:
+def check_compatibility(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
     """The three equivalent compatibility conditions of a complex model.
 
     (1) A(Jx,Jy,Jz,Jw) = A(x,y,z,w) on all basis quadruples;
     (2) the complex Jacobi operator commutes with J on every spanning line;
     (3) the complex curvature operator commutes with J on every spanning line.
-    With ``which="all"`` the three booleans must agree, the equivalence being a
-    theorem; disagreement raises, as it can only be an implementation bug.
+    The three booleans must agree, the equivalence being a theorem;
+    disagreement raises, as it can only be an implementation bug.  ``details``
+    maps ``condition_1`` to ``condition_3`` to their reports.
     """
     a = model.tensor.entries
     jmat = model.structure.matrix
     scale = _scale(a)
     lines = spanning_lines(model.structure)
-    requested = (1, 2, 3) if which == "all" else (int(which),)
-    results = []
-    for cond in requested:
-        name = f"condition_{cond}"
-        if cond == 1:
-            results.append(_quadruple_report(name, _a3_defect(a, jmat), scale, tol))
-        elif cond in (2, 3):
-            operator = complex_jacobi if cond == 2 else complex_curvature_operator
-            ops = operator(model.tensor, model.structure, lines).matrix
-            results.append(_line_report(name, lines, ops @ jmat - jmat @ ops, scale, tol))
-        else:
-            raise ValueError(f"unknown compatibility condition {which!r}")
+    results = [_quadruple_report("condition_1", _defect("a3", a, jmat), scale, tol)]
+    for cond, operator in ((2, complex_jacobi), (3, complex_curvature_operator)):
+        ops = operator(model.tensor, model.structure, lines).matrix
+        results.append(_line_report(f"condition_{cond}", lines, ops @ jmat - jmat @ ops, scale, tol))
     return _battery("compatibility", results, tol)
 
 
 @functools.lru_cache(maxsize=8)
 def _compatibility_gate(model: ComplexModel, tol: float) -> IdentityReport:
-    """check_compatibility(model, "all", tol), run once per (model, tol).
+    """check_compatibility(model, tol), run once per (model, tol).
 
     Models hash by identity, so the checks run on one loaded model share one
     gate; the bound keeps a long run over many models from holding them all.
     """
-    return check_compatibility(model, "all", tol)
+    return check_compatibility(model, tol)
 
 
 def _require_compatible(model: ComplexModel, tol: float) -> None:
@@ -383,7 +370,7 @@ def check_sato(
             raise QNotZeroError(
                 f"max |Q| = {worst_q:.3e} on the spanning lines; variant 2 needs Q identically zero"
             )
-        defect = _sato2_defect(a, model.structure.matrix)
+        defect = _defect("sato2", a, model.structure.matrix)
         return _quadruple_report("sato2", defect, scale, tol)
     raise ValueError(f"unknown variant {variant!r}, expected 1 or 2")
 
@@ -408,14 +395,11 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines).matrix
     conditions = [
         _line_report("a_complex_jacobi_zero", lines, jacobi_ops, scale, tol),
-        _quadruple_report("b_pairwise_J_flip", _a2perp_defect(a, jmat), scale, tol),
+        _quadruple_report("b_pairwise_J_flip", _defect("a2perp", a, jmat), scale, tol),
         _line_report("c_complex_curvature_zero", lines, curvature_ops, scale, tol),
     ]
-    d1, d2 = _hop_defects(a, jmat)
-    worst1, q1 = _worst_entry(d1)
-    worst2, q2 = _worst_entry(d2)
-    hop_witness = ("quadruple",) + (q1 if worst1 >= worst2 else q2)
-    conditions.append(_report("d_slot_hopping", max(worst1, worst2) / scale, hop_witness, tol))
+    hops = [_quadruple_report("d_slot_hopping", _defect(row, a, jmat), scale, tol) for row in ("hop-xy", "hop-yz")]
+    conditions.append(max(hops, key=lambda hop: hop.worst_residual))  # a tie goes to the first
     report = _battery("lemma23", conditions, tol)
     if not report.holds:
         return report
@@ -442,12 +426,7 @@ def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRepo
     a = model.tensor.entries
     jmat = model.structure.matrix
     scale = _scale(a)
-    residuals = {
-        "a1": _worst_entry(_a1_defect(a, jmat))[0] / scale,
-        "a2": _worst_entry(_a2_defect(a, jmat))[0] / scale,
-        "a3": _worst_entry(_a3_defect(a, jmat))[0] / scale,
-        "a2perp": _worst_entry(_a2perp_defect(a, jmat))[0] / scale,
-    }
+    residuals = {cls: _worst_entry(_defect(cls, a, jmat))[0] / scale for cls in ("a1", "a2", "a3", "a2perp")}
     membership = tuple((cls, bool(r <= tol)) for cls, r in residuals.items())
     return _report("gray-classify", residuals["a3"], membership, tol, residuals)
 
@@ -462,18 +441,13 @@ def p2_map(model: ComplexModel, tol: float = DEFAULT_TOL) -> AlgebraicCurvatureT
     """
     a = model.tensor.entries
     jmat = model.structure.matrix
-    residual = _worst_entry(_a3_defect(a, jmat))[0] / _scale(a)
+    residual = _worst_entry(_defect("a3", a, jmat))[0] / _scale(a)
     if residual > tol:
         raise NotInA3Error(
             f"tensor is not compatible (residual {residual:.3e}); the map is only defined there"
         )
-    image = 0.5 * (
-        a
-        + arranged(a, jmat, ("Jx", "Jy", "z", "w"))
-        + arranged(a, jmat, ("Jx", "y", "Jz", "w"))
-        + arranged(a, jmat, ("Jx", "y", "z", "Jw"))
-    )
-    return AlgebraicCurvatureTensor(_freeze(image))
+    # (A + the three J-pair images) / 2 is A minus half the a2 sum
+    return AlgebraicCurvatureTensor(_freeze(a - _defect("a2", a, jmat) / 2.0))
 
 
 def check_gray_yano(
@@ -482,7 +456,7 @@ def check_gray_yano(
     """Eight-term identity satisfied by the curvature of the integrable and
     nearly-parallel classes; linear in A, so checking all basis quadruples is
     exhaustive."""
-    defect = _gray_defect(tensor.entries, structure.matrix)
+    defect = _defect("gray-yano", tensor.entries, structure.matrix)
     return _quadruple_report("gray-yano", defect, _scale(tensor.entries), tol)
 
 
@@ -518,16 +492,9 @@ def run_check(
         return _report(name, float("nan"), ("precondition", str(exc)), tol)
 
 
-CONSTRAINT_TAGS = ("a1", "a2", "a3", "a2perp", "gray-yano", "compatibility")
-
-_CONSTRAINT_DEFECTS: dict[str, Callable] = {
-    "a1": _a1_defect,
-    "a2": _a2_defect,
-    "a3": _a3_defect,
-    "compatibility": _a3_defect,
-    "a2perp": _a2perp_defect,
-    "gray-yano": _gray_defect,
-}
+# constraint tag -> the row of ``_ROWS`` whose sum cuts out its subspace
+_CONSTRAINT_ROWS = {tag: tag for tag in ("a1", "a2", "a3", "a2perp", "gray-yano")} | {"compatibility": "a3"}
+CONSTRAINT_TAGS = tuple(_CONSTRAINT_ROWS)
 
 _subspace_cache: dict = {}  # (m, J bytes, tags) -> coordinate basis
 
@@ -542,7 +509,7 @@ def subspace_coordinate_basis(
         raise DimensionMismatchError(f"structure is {structure.dim}-dimensional, expected m={m}")
     tags = tuple(sorted(set(constraints)))
     for tag in tags:
-        if tag not in _CONSTRAINT_DEFECTS:
+        if tag not in _CONSTRAINT_ROWS:
             raise UnknownConstraintTagError(
                 f"unknown constraint tag {tag!r}; known tags: {', '.join(CONSTRAINT_TAGS)}"
             )
@@ -554,7 +521,7 @@ def _constrained_basis(tags: tuple[str, ...], m: int, structure: ComplexStructur
     if not tags:
         return _freeze(np.eye(basis.count))
     stacked = basis.tensors  # (count, m, m, m, m); defects broadcast over the batch axis
-    blocks = [_CONSTRAINT_DEFECTS[tag](stacked, structure.matrix).reshape(basis.count, -1) for tag in tags]
+    blocks = [_defect(_CONSTRAINT_ROWS[tag], stacked, structure.matrix).reshape(basis.count, -1) for tag in tags]
     design = np.concatenate(blocks, axis=1).T  # rows: constraint entries, cols: coordinates
     # design has more rows (m^4 per tag) than columns, so the thin vh is square
     # and already holds the whole right singular basis

@@ -7,11 +7,12 @@ reporting with merged multiplicities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LineStructureMismatchError
+from .errors import DimensionMismatchError, LineStructureMismatchError, NonFiniteEntryError
 from .spaces import ComplexLine, ComplexStructure
 from .tensors import AlgebraicCurvatureTensor
 
@@ -197,14 +198,29 @@ def merged_spectrum(op, tol: float = SPECTRUM_MERGE_TOL) -> tuple[tuple[float, i
     """Eigenvalues of a symmetric operator, ascending, with multiplicities merged.
 
     Groups are formed greedily: a new eigenvalue starts a group when it sits
-    more than ``tol`` above the running group mean.
+    more than ``tol`` above the running group mean.  The work is done at scale
+    2^-e, for the least e with max|M| < 2^e: scaling by a power of two changes
+    no digit, and an operator near the float range does not overflow.
+    A non-finite entry, or an eigenvalue beyond the float range, raises
+    ``NonFiniteEntryError``.
     """
     mat = op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=float)
-    vals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteEntryError("operator has a non-finite entry")
+    e = math.frexp(float(np.max(np.abs(mat))))[1]
+    scaled = np.ldexp(mat, -e)
+    vals = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
+    try:
+        tol = math.ldexp(tol, -e)
+    except OverflowError:  # tol > 2^1024 max|M|, so the whole spectrum is one group
+        tol = math.inf
     groups: list[list[float]] = []
     for v in vals:
         if groups and abs(v - np.mean(groups[-1])) <= tol:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
-    return tuple((float(np.mean(g)), len(g)) for g in groups)
+    try:
+        return tuple((math.ldexp(float(np.mean(g)), e), len(g)) for g in groups)
+    except OverflowError:
+        raise NonFiniteEntryError("operator has an eigenvalue beyond the float range") from None

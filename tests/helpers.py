@@ -131,3 +131,48 @@ def spanning_lines_loop(structure):
         if not any(line.same_line(kept) for kept in lines):
             lines.append(line)
     return tuple(lines)
+
+
+# The quadruple identities written out one formula each, for A(x, y, z, w) given
+# as a callable and J as a map on vectors; each formula is zero exactly where its
+# identity holds.
+IDENTITY_FORMULAS = {
+    "a1": lambda A, J, x, y, z, w: A(x, y, z, w) - A(J(x), J(y), z, w),
+    "a2": lambda A, J, x, y, z, w: (
+        A(x, y, z, w) - A(J(x), J(y), z, w) - A(J(x), y, J(z), w) - A(J(x), y, z, J(w))
+    ),
+    "a3": lambda A, J, x, y, z, w: A(x, y, z, w) - A(J(x), J(y), J(z), J(w)),
+    "a2perp": lambda A, J, x, y, z, w: A(x, y, z, w) + A(J(x), J(y), z, w),
+    "gray-yano": lambda A, J, x, y, z, w: (
+        A(x, y, z, w)
+        + A(J(x), J(y), J(z), J(w))
+        - A(J(x), J(y), z, w)
+        - A(x, y, J(z), J(w))
+        - A(J(x), y, J(z), w)
+        - A(x, J(y), z, J(w))
+        - A(J(x), y, z, J(w))
+        - A(x, J(y), J(z), w)
+    ),
+    "hop-xy": lambda A, J, x, y, z, w: A(J(x), y, z, w) - A(x, J(y), z, w),
+    "hop-yz": lambda A, J, x, y, z, w: A(x, J(y), z, w) - A(x, y, J(z), w),
+    "sato2": lambda A, J, x, y, z, w: (
+        3.0 * A(x, y, z, w)
+        + 3.0 * A(x, y, J(z), J(w))
+        - A(x, z, J(w), J(y))
+        + A(x, w, J(z), J(y))
+        + A(x, J(z), w, J(y))
+        - A(x, J(w), z, J(y))
+    ),
+}
+
+
+def identity_defect_loop(name, entries, jmat):
+    """Plain-loop value of identity ``name`` at every basis quadruple (e_i, e_j, e_k, e_l)."""
+    m = entries.shape[0]
+    eye = np.eye(m)
+    formula = IDENTITY_FORMULAS[name]
+    out = np.zeros((m,) * 4)
+    for index in np.ndindex(out.shape):
+        vectors = (eye[i] for i in index)
+        out[index] = formula(lambda *v: contract(entries, *v), lambda v: jmat @ v, *vectors)
+    return out

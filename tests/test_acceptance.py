@@ -120,7 +120,7 @@ def test_c05_equivalence_batteries_agree(m):
         if tags:
             tensor = project_to_constraints(tensor, structure, tags)
         model = ComplexModel(structure, tensor)
-        compat = check_compatibility(model, "all")
+        compat = check_compatibility(model)
         booleans = {cond.holds for cond in compat.details.values()}
         assert len(booleans) == 1
         battery = lemma23_battery(model)

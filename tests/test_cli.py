@@ -162,6 +162,27 @@ def test_spectra_sweep_and_vector(tmp_path, capsys):
     assert jac == [[0.0, 1], [1.0, 2], [4.0, 1]]
 
 
+def test_spectra_of_a_model_near_the_float_range(tmp_path, capsys):
+    # the largest entry of 4e307 * A is 1.6e308, and J(pi) reaches it; the
+    # spectra are exactly 4e307 times those of A, not an overflow
+    path, big = tmp_path / "fs.json", tmp_path / "fs-big.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    model = load_model(str(path)).model
+    curvlab.save_model(curvlab.ComplexModel(model.structure, 4e307 * model.tensor), str(big))
+    for at in ("sweep", "1,0,0,0"):
+        code, out, _ = run(capsys, "--output", "json", "spectra", str(path), "--at", at)
+        assert code == 0
+        expected = json.loads(out)["spectra"]
+        code, out, _ = run(capsys, "--output", "json", "spectra", str(big), "--at", at)
+        assert code == 0
+        spectra = json.loads(out)["spectra"]
+        assert len(spectra) == len(expected)
+        for entry, plain in zip(spectra, expected):
+            assert [mult for _, mult in entry["eigenvalues"]] == [mult for _, mult in plain["eigenvalues"]]
+            for (value, _), (unscaled, _) in zip(entry["eigenvalues"], plain["eigenvalues"]):
+                assert abs(value - 4e307 * unscaled) <= 1e-15 * abs(4e307 * unscaled)
+
+
 def run_subprocess(*argv, env=None):
     """Run the CLI in a fresh interpreter, so that an escaping traceback shows on stderr."""
     env = dict(os.environ, **(env or {}), PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
@@ -456,14 +477,15 @@ def test_twistor_only_outputs_reject_other_kinds(tmp_path, capsys, kind, flag):
 
 
 def test_model_gallery_script(tmp_path, monkeypatch, capsys):
-    # the gallery drives build, check, diff and spectra through the CLI and
-    # exits with a message on the first command that does not return 0
+    # the gallery drives build, check, reconstruct, diff and spectra through
+    # the CLI and exits with a message on the first command that does not return 0
     script = Path(__file__).resolve().parents[1] / "scripts" / "model_gallery.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--dir", str(tmp_path), "--m", "4"])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
     assert (tmp_path / "twistor_pullback.json").exists()
+    assert (tmp_path / "fubini_study_from_complex_jacobi.json").exists()
 
 
 def test_discrepancy_audit_script(monkeypatch, capsys):

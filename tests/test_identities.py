@@ -41,7 +41,7 @@ from curvlab import identities
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
 from curvlab.spaces import _freeze
-from helpers import contract, spans_equal
+from helpers import IDENTITY_FORMULAS, contract, identity_defect_loop, spans_equal
 
 
 @pytest.fixture(scope="module")
@@ -55,30 +55,31 @@ def fs_model(j4):
 
 
 def test_a0_compatible_all_conditions(j4):
-    rep = check_compatibility(ComplexModel(j4, build_A0(4)), "all")
+    rep = check_compatibility(ComplexModel(j4, build_A0(4)))
     assert rep.holds
     assert all(cond.holds for cond in rep.details.values())
 
 
 def test_fubini_study_compatible(fs_model):
-    assert check_compatibility(fs_model, "all").holds
+    assert check_compatibility(fs_model).holds
 
 
 def test_a_k_compatible_for_anticommuting_pair():
     # J* fixes the tensor built from an anticommuting K, since (JK)J(JK)^T = ... = K up to sign
     trip = build_quaternion_triple(4)
     model = ComplexModel(trip.j1, build_APhi(trip.j2))
-    assert check_compatibility(model, "all").holds
+    assert check_compatibility(model).holds
 
 
 def test_random_tensor_not_compatible(j4):
-    rep = check_compatibility(ComplexModel(j4, random_curvature_tensor(4, seed=0)), "all")
+    rep = check_compatibility(ComplexModel(j4, random_curvature_tensor(4, seed=0)))
     assert not rep.holds
 
 
 def test_single_condition_checks(fs_model):
-    for which in (1, 2, 3):
-        assert check_compatibility(fs_model, which).holds
+    rep = check_compatibility(fs_model)
+    for k in (1, 2, 3):
+        assert rep.details[f"condition_{k}"].holds
 
 
 def test_vanhecke_on_fubini_study(fs_model):
@@ -303,8 +304,10 @@ def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
 
 
 def test_unknown_constraint_tag(j4):
-    with pytest.raises(UnknownConstraintTagError):
-        subspace_dimension(["nonsense"], 4, j4)
+    # rows of the identity table that are not constraint tags are unknown too
+    for tag in ("nonsense", "hop-xy", "hop-yz", "sato2"):
+        with pytest.raises(UnknownConstraintTagError):
+            subspace_dimension([tag], 4, j4)
 
 
 CHECK_NAMES = (
@@ -374,7 +377,7 @@ def test_every_report_holds_iff_within_tolerance(kind):
 
 
 def _arranged_patterns():
-    """Every slot pattern the identity defects and p2_map pass to ``arranged``."""
+    """Every slot pattern the identity table's rows, sato1 and p2_map pass to ``arranged``."""
     seen = []
 
     def spy(entries, jmat, args):
@@ -388,8 +391,8 @@ def _arranged_patterns():
     a, jmat = model.tensor.entries, j4.matrix
     identities.arranged = spy
     try:
-        for defect in (*identities._CONSTRAINT_DEFECTS.values(), identities._hop_defects, identities._sato2_defect):
-            defect(a, jmat)
+        for row in identities._ROWS:
+            identities._defect(row, a, jmat)
         identities._sato1_defect(a, j4, 1.0)
         p2_map(model)
     finally:
@@ -433,6 +436,21 @@ def test_arranged_matches_loop_oracle(args):
     expected = _arranged_loop(stack, jmat, args)
     np.testing.assert_allclose(identities.arranged(stack, jmat, args), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(identities.arranged(stack[1], jmat, args), expected[1], rtol=0, atol=1e-12)
+
+
+def test_identity_table_matches_the_written_formulas():
+    assert set(identities._ROWS) == set(IDENTITY_FORMULAS)
+
+
+@pytest.mark.parametrize("name", IDENTITY_FORMULAS)
+def test_identity_rows_match_loop_oracle(name):
+    # each row's signed sum against its formula written out with plain loops,
+    # on one tensor and on a stack of two, with a rotated J
+    jmat = _rotated_j4()
+    stack = np.random.default_rng(12).standard_normal((2,) + (4,) * 4)
+    expected = np.stack([identity_defect_loop(name, entries, jmat) for entries in stack])
+    np.testing.assert_allclose(identities._defect(name, stack, jmat), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(identities._defect(name, stack[1], jmat), expected[1], rtol=0, atol=1e-12)
 
 
 def test_shared_slot_images_match_loop_oracle():

@@ -7,6 +7,7 @@ from curvlab import (
     AlgebraicCurvatureTensor,
     DimensionMismatchError,
     LineStructureMismatchError,
+    NonFiniteEntryError,
     build_A0,
     build_APhi,
     complex_curvature_operator,
@@ -29,7 +30,7 @@ from curvlab import (
     star_ricci,
     validate_complex_structure,
 )
-from curvlab.operators import _jacobi_stack
+from curvlab.operators import SPECTRUM_MERGE_TOL, _jacobi_stack
 from helpers import contract, jacobi_loop
 
 
@@ -253,6 +254,24 @@ def test_merged_spectrum_grouping():
     mat = np.diag([1.0, 1.0 + 1e-12, 2.0, 5.0])
     spec = merged_spectrum(mat)
     assert spec == ((pytest.approx(1.0), 2), (2.0, 1), (5.0, 1))
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_merged_spectrum_scales_exactly(j4, k):
+    # a power-of-two scale of the operator and the tolerance scales every
+    # merged eigenvalue by the same power exactly, far outside [1e-8, 1e8]
+    mat = complex_jacobi(build_A0(4) + build_APhi(j4), j4, spanning_lines(j4)[1]).matrix
+    plain = merged_spectrum(mat)
+    assert [mult for _, mult in plain] == [2, 2]
+    scaled = merged_spectrum(2.0**k * mat, tol=2.0**k * SPECTRUM_MERGE_TOL)
+    assert scaled == tuple((2.0**k * value, mult) for value, mult in plain)
+
+
+def test_merged_spectrum_rejects_what_leaves_the_float_range():
+    with pytest.raises(NonFiniteEntryError):
+        merged_spectrum(np.full((2, 2), 1.7e308))  # eigenvalue 3.4e308
+    with pytest.raises(NonFiniteEntryError):
+        merged_spectrum(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["curvature", "raw"])
