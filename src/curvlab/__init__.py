@@ -64,7 +64,6 @@ from .operators import (
     curvature_operator,
     holomorphic_sectional_curvature,
     jacobi,
-    lambda_tensor,
     merged_spectrum,
     q_quartic,
     ricci,

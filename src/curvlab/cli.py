@@ -131,13 +131,17 @@ def _unit_vector(text: str) -> np.ndarray:
 def _cmd_spectra(args):
     loaded = load_model(args.model, tol=args.tol)
     model = loaded.model
+    # eigenvalues merge within tol relative to the tensor's largest entry, so
+    # the spectra of c A group as those of A do, and a vanishing operator
+    # reads as zero
+    scale = float(np.max(np.abs(model.tensor.entries)))
     spectra = []
     lines_out = []
     if args.at == "sweep":
         lines = spanning_lines(model.structure)
         ops = complex_jacobi(model.tensor, model.structure, lines).matrix
         for index, (line, op) in enumerate(zip(lines, ops)):
-            spec = merged_spectrum(op)
+            spec = merged_spectrum(op, scale=scale)
             spectra.append(
                 {
                     "line": index,
@@ -149,11 +153,11 @@ def _cmd_spectra(args):
             lines_out.append(f"  line {index:>3}: {pretty}")
     else:
         vec = _unit_vector(args.at)
-        spec = merged_spectrum(jacobi(model.tensor, vec))
+        spec = merged_spectrum(jacobi(model.tensor, vec), scale=scale)
         spectra.append({"vector": vec.tolist(), "eigenvalues": [[v, mult] for v, mult in spec]})
         lines_out.append("  jacobi: " + ", ".join(f"{v:.6g} (x{mult})" for v, mult in spec))
         line = complex_line(vec, model.structure)
-        spec = merged_spectrum(complex_jacobi(model.tensor, model.structure, line))
+        spec = merged_spectrum(complex_jacobi(model.tensor, model.structure, line), scale=scale)
         spectra.append(
             {"line_of_vector": vec.tolist(), "eigenvalues": [[v, mult] for v, mult in spec]}
         )

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, LineStructureMismatchError, NonFiniteEntryError
-from .spaces import ComplexLine, ComplexStructure
+from .spaces import ComplexLine, ComplexStructure, SpanningLines
 from .tensors import AlgebraicCurvatureTensor
 
-SPECTRUM_MERGE_TOL = 1e-8
+SPECTRUM_MERGE_TOL = 1e-8  # relative to the scale of merged_spectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,12 +72,6 @@ def _q_batch(entries: np.ndarray, jmat: np.ndarray, vs) -> np.ndarray:
     return _quartic_batch(entries, vs, vj, vj, vs)
 
 
-def _lambda_batch(entries: np.ndarray, jmat: np.ndarray, xs, ys) -> np.ndarray:
-    """lambda(x_n, y_n) = A(x_n, y_n, y_n, x_n) - A(x_n, y_n, Jy_n, Jx_n) for each row n."""
-    xj, yj = xs @ jmat.T, ys @ jmat.T
-    return _quartic_batch(entries, xs, ys, ys, xs) - _quartic_batch(entries, xs, ys, yj, xj)
-
-
 def jacobi_matrix(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
     """Raw matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
     v = _as_vector(x, tensor.dim)
@@ -90,12 +84,18 @@ def jacobi(tensor: AlgebraicCurvatureTensor, x) -> OperatorMatrix:
 
 def _line_array(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line, field: str) -> np.ndarray:
     """The line's representative or projector, or for a sequence of lines all of
-    them stacked, after checking that the lines belong to the structure."""
+    them stacked, after checking that the lines belong to the structure.
+
+    A ``SpanningLines`` sweep already holds both stacks, so they are not rebuilt.
+    """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
     if isinstance(line, ComplexLine):
         _check_structure(line.structure, structure)
         return getattr(line, field)
+    if isinstance(line, SpanningLines):
+        _check_structure(line.structure, structure)
+        return getattr(line, field + "s")
     for owner in {ln.structure for ln in line}:  # one structure object per sweep
         _check_structure(owner, structure)
     return np.array([getattr(ln, field) for ln in line])
@@ -187,32 +187,31 @@ def holomorphic_sectional_curvature(
     return q_quartic(tensor, structure, _line_array(tensor, structure, line, "representative"))
 
 
-def lambda_tensor(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, x, y) -> float:
-    """A(x, y, y, x) - A(x, y, Jy, Jx)."""
-    vx = _as_vector(x, tensor.dim)
-    vy = _as_vector(y, tensor.dim)
-    return float(_lambda_batch(tensor.entries, structure.matrix, vx[None], vy[None])[0])
-
-
-def merged_spectrum(op, tol: float = SPECTRUM_MERGE_TOL) -> tuple[tuple[float, int], ...]:
+def merged_spectrum(
+    op, tol: float = SPECTRUM_MERGE_TOL, scale: float | None = None
+) -> tuple[tuple[float, int], ...]:
     """Eigenvalues of a symmetric operator, ascending, with multiplicities merged.
 
     Groups are formed greedily: a new eigenvalue starts a group when it sits
-    more than ``tol`` above the running group mean.  The work is done at scale
-    2^-e, for the least e with max|M| < 2^e: scaling by a power of two changes
-    no digit, and an operator near the float range does not overflow.
+    more than ``tol * scale`` above the running group mean.  ``scale``
+    defaults to max|M|, so the grouping does not depend on the size of M; a
+    caller that knows the size of the tensor behind M passes that instead, so
+    an operator that vanishes up to rounding reads as one zero group.  The
+    work is done at scale 2^-e, for the least e with max|M| < 2^e: scaling by
+    a power of two changes no digit, and an operator near the float range
+    does not overflow.
     A non-finite entry, or an eigenvalue beyond the float range, raises
     ``NonFiniteEntryError``.
     """
     mat = op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise NonFiniteEntryError("operator has a non-finite entry")
-    e = math.frexp(float(np.max(np.abs(mat))))[1]
+    largest, e = math.frexp(float(np.max(np.abs(mat))))
     scaled = np.ldexp(mat, -e)
     vals = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
     try:
-        tol = math.ldexp(tol, -e)
-    except OverflowError:  # tol > 2^1024 max|M|, so the whole spectrum is one group
+        tol *= largest if scale is None else math.ldexp(scale, -e)  # in units of 2^e
+    except OverflowError:  # scale > 2^1024 max|M|, so the whole spectrum is one group
         tol = math.inf
     groups: list[list[float]] = []
     for v in vals:

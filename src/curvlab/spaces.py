@@ -260,7 +260,28 @@ def _line_candidates(jmat: np.ndarray) -> np.ndarray:
     return np.vstack([eye, pairs[nondegenerate]])
 
 
-def _sweep(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
+class SpanningLines(tuple):
+    """The spanning lines of one structure: a tuple of ``ComplexLine``, which
+    also holds their representatives and projectors as read-only (L, m) and
+    (L, m, m) stacks, so the line operators take them without restacking.
+
+    A slice is a plain tuple of lines.
+    """
+
+    def __new__(cls, structure: ComplexStructure, representatives: np.ndarray, projectors: np.ndarray):
+        lines = super().__new__(
+            cls, (ComplexLine(rep, structure, proj) for rep, proj in zip(representatives, projectors))
+        )
+        lines.structure = structure
+        lines.representatives = representatives
+        lines.projectors = projectors
+        return lines
+
+    def __getnewargs__(self):  # copy and pickle rebuild the lines from these
+        return self.structure, self.representatives, self.projectors
+
+
+def _sweep(structure: ComplexStructure) -> SpanningLines:
     """The lines of all candidates at once, normalized and signed as complex_line does."""
     xs = _line_candidates(structure.matrix)
     xs = xs / np.linalg.norm(xs, axis=1)[:, None]
@@ -280,11 +301,10 @@ def _sweep(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
     for index, before in zip(later[same].tolist(), earlier[same].tolist()):
         if not dropped[before]:
             dropped[index] = True
-    reps, projectors = _freeze(xs[~dropped]), _freeze(projectors[~dropped])
-    return tuple(ComplexLine(rep, structure, proj) for rep, proj in zip(reps, projectors))
+    return SpanningLines(structure, _freeze(xs[~dropped]), _freeze(projectors[~dropped]))
 
 
-def spanning_lines(structure: ComplexStructure) -> tuple[ComplexLine, ...]:
+def spanning_lines(structure: ComplexStructure) -> SpanningLines:
     """Complex lines through e_i, (e_i + e_j)/sqrt2 and (e_i + J e_j)/sqrt2, deduplicated.
 
     Any operator- or scalar-valued map that is quadratic in the line

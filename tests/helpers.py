@@ -133,9 +133,38 @@ def spanning_lines_loop(structure):
     return tuple(lines)
 
 
-# The quadruple identities written out one formula each, for A(x, y, z, w) given
-# as a callable and J as a map on vectors; each formula is zero exactly where its
-# identity holds.
+def vanhecke_polarization(A, J, x, y):
+    """Vanhecke's defect 32 A(x,y,y,x) minus its polarization through Q and lambda.
+
+    Q(v) = A(v, Jv, Jv, v) is taken at the non-unit arguments x + Jy, x - Jy,
+    x + y and x - y, and lambda(u, v) = A(u, v, v, u) - A(u, v, Jv, Ju).  Zero
+    for every pair exactly when a curvature tensor satisfies the identity.
+    """
+
+    def q(v):
+        jv = J(v)
+        return A(v, jv, jv, v)
+
+    def lam(u, v):
+        return A(u, v, v, u) - A(u, v, J(v), J(u))
+
+    jy = J(y)
+    polarized = (
+        3.0 * q(x + jy)
+        + 3.0 * q(x - jy)
+        - q(x + y)
+        - q(x - y)
+        - 4.0 * q(x)
+        - 4.0 * q(y)
+        + 4.0 * (5.0 * lam(x, y) + lam(x, jy))
+    )
+    return 32.0 * A(x, y, y, x) - polarized
+
+
+# The identities written out one formula each, for A(x, y, z, w) given as a
+# callable and J as a map on vectors; each formula is zero exactly where its
+# identity holds.  All but vanhecke take a quadruple (x, y, z, w); vanhecke is
+# the pair identity D(x, y), whose row T gives it as T(x, y, x, y).
 IDENTITY_FORMULAS = {
     "a1": lambda A, J, x, y, z, w: A(x, y, z, w) - A(J(x), J(y), z, w),
     "a2": lambda A, J, x, y, z, w: (
@@ -163,11 +192,12 @@ IDENTITY_FORMULAS = {
         + A(x, J(z), w, J(y))
         - A(x, J(w), z, J(y))
     ),
+    "vanhecke": vanhecke_polarization,
 }
 
 
 def identity_defect_loop(name, entries, jmat):
-    """Plain-loop value of identity ``name`` at every basis quadruple (e_i, e_j, e_k, e_l)."""
+    """Plain-loop value of quadruple identity ``name`` at every basis quadruple (e_i, e_j, e_k, e_l)."""
     m = entries.shape[0]
     eye = np.eye(m)
     formula = IDENTITY_FORMULAS[name]

@@ -183,6 +183,35 @@ def test_spectra_of_a_model_near_the_float_range(tmp_path, capsys):
                 assert abs(value - 4e307 * unscaled) <= 1e-15 * abs(4e307 * unscaled)
 
 
+def test_spectra_of_a_small_scale_model_keeps_distinct_eigenvalues(tmp_path, capsys):
+    # eigenvalues merge relative to the tensor's largest entry, so at scale
+    # 1e-9 the spectra keep the groups of the unscaled model, not one group
+    # within 1e-8
+    path, small = tmp_path / "fs.json", tmp_path / "fs-small.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    model = load_model(str(path)).model
+    curvlab.save_model(curvlab.ComplexModel(model.structure, 1e-9 * model.tensor), str(small))
+    code, out, _ = run(capsys, "--output", "json", "spectra", str(small), "--at", "1,0,0,0")
+    assert code == 0
+    jacobi_spectrum, complex_spectrum = (entry["eigenvalues"] for entry in json.loads(out)["spectra"])
+    assert [mult for _, mult in jacobi_spectrum] == [1, 2, 1]
+    assert [mult for _, mult in complex_spectrum] == [2, 2]
+    for (value, _), expected in zip(jacobi_spectrum + complex_spectrum, (0.0, 1e-9, 4e-9, 2e-9, 4e-9)):
+        assert abs(value - expected) <= 1e-22
+
+
+def test_spectra_of_a_vanishing_complex_jacobi_operator_read_zero(tmp_path, capsys):
+    # the counterexample's complex Jacobi operator vanishes on every line; at
+    # m = 8 it is rounding noise, which merges at the tensor's scale
+    path = tmp_path / "counterexample.json"
+    run(capsys, "build", "counterexample", "--m", "8", "--out", str(path))
+    code, out, _ = run(capsys, "--output", "json", "spectra", str(path))
+    assert code == 0
+    for entry in json.loads(out)["spectra"]:
+        ((value, mult),) = entry["eigenvalues"]
+        assert mult == 8 and abs(value) <= 1e-15
+
+
 def run_subprocess(*argv, env=None):
     """Run the CLI in a fresh interpreter, so that an escaping traceback shows on stderr."""
     env = dict(os.environ, **(env or {}), PYTHONPATH=str(Path(curvlab.__file__).parents[1]))

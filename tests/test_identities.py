@@ -27,8 +27,10 @@ from curvlab import (
     lemma23_battery,
     p2_map,
     project_to_constraints,
+    pullback,
     random_curvature_tensor,
     random_orthogonal,
+    random_unit_vector,
     run_check,
     standard_complex_structure,
     subspace_dimension,
@@ -404,7 +406,8 @@ _PATTERNS = _arranged_patterns()
 
 
 def test_arranged_patterns_collected():
-    assert len(_PATTERNS) == 14
+    # 14 from the quadruple rows, sato1 and p2_map; the vanhecke row adds 12
+    assert len(_PATTERNS) == 26
 
 
 def _arranged_loop(stack, jmat, args):
@@ -442,7 +445,7 @@ def test_identity_table_matches_the_written_formulas():
     assert set(identities._ROWS) == set(IDENTITY_FORMULAS)
 
 
-@pytest.mark.parametrize("name", IDENTITY_FORMULAS)
+@pytest.mark.parametrize("name", [name for name in IDENTITY_FORMULAS if name != "vanhecke"])
 def test_identity_rows_match_loop_oracle(name):
     # each row's signed sum against its formula written out with plain loops,
     # on one tensor and on a stack of two, with a rotated J
@@ -451,6 +454,70 @@ def test_identity_rows_match_loop_oracle(name):
     expected = np.stack([identity_defect_loop(name, entries, jmat) for entries in stack])
     np.testing.assert_allclose(identities._defect(name, stack, jmat), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(identities._defect(name, stack[1], jmat), expected[1], rtol=0, atol=1e-12)
+
+
+def _vanhecke_cases():
+    """(id, model): Fubini-Study and a random tensor projected into a3 at m = 4
+    and 6, the twistor and counterexample models at m = 4, each with the
+    standard J and with J -> Q J Q^T, the tensor pulled back along Q^T."""
+    cases = []
+    for m in (4, 6):
+        standard = standard_complex_structure(m)
+        q = random_orthogonal(m, np.random.default_rng(20 + m))
+        rotated = validate_complex_structure(q @ standard.matrix @ q.T)
+        for label, j in (("standard", standard), ("rotated", rotated)):
+            theta = np.eye(m) if j is standard else q.T
+            kinds = {
+                "fubini-study": ComplexModel(j, build_A0(m) + build_APhi(j)),
+                "random-a3": ComplexModel(j, project_to_constraints(random_curvature_tensor(m, seed=m), j, ["a3"])),
+            }
+            if m == 4:
+                for kind, model in (("twistor", twistor_point_model(4)[0]), ("counterexample", counterexample_model(4))):
+                    kinds[kind] = ComplexModel(
+                        validate_complex_structure(theta.T @ model.structure.matrix @ theta),
+                        pullback(theta, model.tensor),
+                    )
+            cases += [(f"{kind}-{m}-{label}", model) for kind, model in kinds.items()]
+    return cases
+
+
+_VANHECKE_CASES = _vanhecke_cases()
+
+
+@pytest.mark.parametrize("model", [c for _, c in _VANHECKE_CASES], ids=[n for n, _ in _VANHECKE_CASES])
+def test_vanhecke_row_matches_polarization_formula(model):
+    # at the certifying pairs of check_vanhecke (basis pairs, then seeded
+    # random ones), T(x, y, x, y) of the row's sum T against the written
+    # formula, both through plain loops; the report is the worst of them
+    m, a, jmat = model.dim, model.tensor.entries, model.structure.matrix
+    scale = 1.0 + float(np.max(np.abs(a)))
+    row_sum = identities._defect("vanhecke", a, jmat)
+    eye = np.eye(m)
+    pairs = [(eye[i], eye[j]) for i in range(m) for j in range(m)]
+    rng = np.random.default_rng(3)
+    for _ in range(32):
+        pairs.append((random_unit_vector(m, rng), random_unit_vector(m, rng)))
+    formula = []
+    for x, y in pairs:
+        expected = IDENTITY_FORMULAS["vanhecke"](lambda *v: contract(a, *v), lambda v: jmat @ v, x, y)
+        assert abs(contract(row_sum, x, y, x, y) - expected) <= 1e-12 * scale
+        formula.append(abs(expected) / scale)
+    for trials in (0, 32):
+        rep = check_vanhecke(model, trials=trials, seed=3)
+        assert rep.holds
+        assert rep.details == {"pairs": m * m + trials}
+        assert abs(rep.worst_residual - max(formula[: m * m + trials])) <= 1e-12
+        x, y = (np.array(v) for v in rep.witness[1:])
+        assert rep.witness[0] == "pair"
+        assert any(np.array_equal(x, px) and np.array_equal(y, py) for px, py in pairs[: m * m + trials])
+
+
+def test_vanhecke_row_is_no_constraint(fs_model, j4):
+    # only the diagonal T(x, y, x, y) of the row's sum vanishes on compatible
+    # tensors, not the sum itself, so it cuts out no subspace
+    assert np.max(np.abs(identities._defect("vanhecke", fs_model.tensor.entries, j4.matrix))) == 32.0
+    with pytest.raises(UnknownConstraintTagError):
+        subspace_dimension(["vanhecke"], 4, j4)
 
 
 def test_shared_slot_images_match_loop_oracle():

@@ -17,7 +17,6 @@ from curvlab import (
     curvature_operator,
     holomorphic_sectional_curvature,
     jacobi,
-    lambda_tensor,
     merged_spectrum,
     project_to_constraints,
     q_quartic,
@@ -30,7 +29,7 @@ from curvlab import (
     star_ricci,
     validate_complex_structure,
 )
-from curvlab.operators import SPECTRUM_MERGE_TOL, _jacobi_stack
+from curvlab.operators import _jacobi_stack
 from helpers import contract, jacobi_loop
 
 
@@ -244,12 +243,6 @@ def test_holomorphic_sectional_curvature_values(j4):
         assert holomorphic_sectional_curvature(fs, j4, line) == pytest.approx(4.0)
 
 
-def test_lambda_with_equal_arguments_vanishes(j4):
-    a = random_curvature_tensor(4, seed=2)
-    x = random_unit_vector(4, np.random.default_rng(4))
-    assert abs(lambda_tensor(a, j4, x, x)) < 1e-12
-
-
 def test_merged_spectrum_grouping():
     mat = np.diag([1.0, 1.0 + 1e-12, 2.0, 5.0])
     spec = merged_spectrum(mat)
@@ -258,13 +251,26 @@ def test_merged_spectrum_grouping():
 
 @pytest.mark.parametrize("k", [-600, 600])
 def test_merged_spectrum_scales_exactly(j4, k):
-    # a power-of-two scale of the operator and the tolerance scales every
-    # merged eigenvalue by the same power exactly, far outside [1e-8, 1e8]
+    # the merge tolerance is relative to max|M|, so a power-of-two scale of the
+    # operator alone scales every merged eigenvalue by the same power exactly,
+    # far outside [1e-8, 1e8]
     mat = complex_jacobi(build_A0(4) + build_APhi(j4), j4, spanning_lines(j4)[1]).matrix
     plain = merged_spectrum(mat)
     assert [mult for _, mult in plain] == [2, 2]
-    scaled = merged_spectrum(2.0**k * mat, tol=2.0**k * SPECTRUM_MERGE_TOL)
+    scaled = merged_spectrum(2.0**k * mat)
     assert scaled == tuple((2.0**k * value, mult) for value, mult in plain)
+
+
+def test_merged_spectrum_merges_relative_to_the_largest_entry():
+    # eigenvalues 1e-9 apart are distinct at scale 1e-9, however small
+    spec = merged_spectrum(np.diag([0.0, 1e-9, 1e-9 + 1e-20, 4e-9]))
+    assert [mult for _, mult in spec] == [1, 2, 1]
+    assert merged_spectrum(np.zeros((3, 3))) == ((0.0, 3),)
+    # rounding noise of an operator whose tensor has entries near 1 is one
+    # zero group at that scale
+    noise = np.diag([-2e-16, 0.0, 2e-16])
+    assert [mult for _, mult in merged_spectrum(noise)] == [1, 1, 1]
+    assert merged_spectrum(noise, scale=1.0) == ((0.0, 3),)
 
 
 def test_merged_spectrum_rejects_what_leaves_the_float_range():
@@ -311,6 +317,22 @@ def test_line_stacks_match_per_line_operators(m, symmetric):
             curvature_ops.matrix[index], curvature_operator(tensor, x, structure.apply(x)).matrix, rtol=0, atol=1e-12
         )
         assert abs(q_values[index] - q_quartic(tensor, structure, x)) <= 1e-12
+
+
+def test_sweep_stacks_serve_the_line_operators(j4):
+    # spanning_lines holds its representatives and projectors stacked; the
+    # operators read them directly and agree exactly with a restacked tuple
+    a = random_curvature_tensor(4, seed=5)
+    lines = spanning_lines(j4)
+    assert not lines.representatives.flags.writeable and not lines.projectors.flags.writeable
+    np.testing.assert_array_equal(lines.representatives, [line.representative for line in lines])
+    np.testing.assert_array_equal(lines.projectors, [line.projector for line in lines])
+    assert type(lines[1:]) is tuple
+    for operator in (complex_jacobi, complex_curvature_operator):
+        np.testing.assert_array_equal(operator(a, j4, lines).matrix, operator(a, j4, tuple(lines)).matrix)
+    np.testing.assert_array_equal(
+        holomorphic_sectional_curvature(a, j4, lines), holomorphic_sectional_curvature(a, j4, tuple(lines))
+    )
 
 
 def test_line_stacks_reject_foreign_lines(j4):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,6 +133,14 @@ def test_spanning_lines_cached_per_structure():
     lines = spanning_lines(j)
     assert isinstance(lines, tuple)
     assert spanning_lines(j) is lines
+
+
+def test_spanning_lines_survive_copy_and_pickle():
+    lines = spanning_lines(standard_complex_structure(4))
+    for clone in (copy.copy(lines), copy.deepcopy(lines), pickle.loads(pickle.dumps(lines))):
+        assert type(clone) is type(lines) and len(clone) == len(lines)
+        np.testing.assert_array_equal(clone.projectors, lines.projectors)
+        assert all(a.same_line(b) for a, b in zip(clone, lines))
 
 
 def _sweep_structures():
