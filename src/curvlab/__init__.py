@@ -51,10 +51,8 @@ from .identities import (
     gray_classify,
     lemma23_battery,
     p2_map,
-    project_to_constraints,
     run_check,
     subspace_dimension,
-    subspace_tensor_basis,
 )
 from .modelio import ModelFile, load_model, save_model
 from .operators import (

@@ -3,8 +3,8 @@ reconstruct tensors from Jacobi data, diff models through an isometry, and
 compute constrained subspace dimensions.
 
 Exit codes: 0 every requested check holds, 1 a check failed, 2 input or usage
-error.  All randomness is seeded, so reports are deterministic given the input
-file, --seed and --tol.
+error or a closed standard output.  All randomness is seeded, so reports are
+deterministic given the input file, --seed and --tol.
 """
 
 from __future__ import annotations
@@ -316,17 +316,20 @@ def main(argv=None) -> int:
             return 2
     try:
         command, reports, status, extra = args.func(args)
-    except CurvlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CurvlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         at = f" at m = {args.m}" if hasattr(args, "m") else ""
         print(f"error: {args.cmd} ran out of memory{at}", file=sys.stderr)
         return 2
-    _emit(command, reports, status, extra, args.output)
+    try:
+        _emit(command, reports, status, extra, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:  # no failed check; devnull keeps the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     return status
 
 

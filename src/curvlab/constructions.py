@@ -4,10 +4,12 @@ The two constructions are the quaternionic model whose complex Jacobi operator
 vanishes identically while the tensor does not, and the twistor-point model
 whose curvature changes under a complex isometry even though all complex
 Jacobi and complex curvature operators are preserved.  The two reconstruction
-routines recover a curvature tensor from a Jacobi-operator oracle (always
-unique) and from a complex-Jacobi oracle (the minimum-norm fit over the
-curvature space; the map to complex Jacobi data has kernel a2perp by Lemma
-2.3, so the fit is the tensor's eight-term component).
+routines recover a curvature tensor from a Jacobi-operator oracle (unique, in
+closed form by polarization and the first Bianchi identity, then gated on
+reproducing the oracle and on the strict symmetry check) and from a
+complex-Jacobi oracle (the minimum-norm fit over the curvature space; the map
+to complex Jacobi data has kernel a2perp by Lemma 2.3, so the fit is the
+tensor's eight-term component).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EquivalenceViolationError, InconsistentOracleError
+from .errors import DimensionMismatchError, EquivalenceViolationError, InconsistentOracleError, SymmetryViolationError
 from .identities import IdentityReport, check_gray_yano, lemma23_battery
 from .operators import _jacobi_stack, complex_jacobi, jacobi_matrix
 from .spaces import (
@@ -40,6 +42,7 @@ from .tensors import (
     curvature_space_basis,
     numerical_rank,
     pullback,
+    validate_or_project,
 )
 
 RECONSTRUCTION_TOL = 1e-8
@@ -106,19 +109,22 @@ def _probe_vectors(m: int) -> np.ndarray:
 
 
 def _oracle_targets(values, m: int) -> np.ndarray:
-    """The oracle's m x m answers, raveled and concatenated in query order."""
+    """The oracle's m x m answers, raveled and concatenated in query order; all finite."""
     targets = []
     for value in values:
         target = np.asarray(value, dtype=float)
         if target.shape != (m, m):
             raise DimensionMismatchError(f"oracle returned shape {target.shape}, expected {(m, m)}")
         targets.append(target.ravel())
-    return np.concatenate(targets)
+    rhs = np.concatenate(targets)
+    if not np.isfinite(rhs).all():
+        raise InconsistentOracleError("the oracle returned a non-finite answer")
+    return rhs
 
 
-def _check_fit(design, coeffs, rhs, tol: float, meaning: str) -> None:
-    residual = float(np.max(np.abs(design @ coeffs - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
-    if residual > tol:
+def _check_fit(fitted, rhs, tol: float, meaning: str) -> None:
+    residual = float(np.max(np.abs(fitted - rhs))) / (1.0 + float(np.max(np.abs(rhs))))
+    if not residual <= tol:  # a NaN residual is rejected too
         raise InconsistentOracleError(f"fitted residual {residual:.3e} exceeds {tol:.1e}; {meaning}")
 
 
@@ -127,23 +133,31 @@ def reconstruct_from_jacobi(
 ) -> AlgebraicCurvatureTensor:
     """Recover the unique curvature tensor whose Jacobi operator matches the oracle.
 
-    Solves the linear system A(y,x,x,z) = <oracle(x) y, z> by least squares
-    over the symmetry-reduced coordinates, querying the oracle only on the
-    minimal polarization set {e_i} and {e_i + e_j}.  The fitted residual
-    doubles as the consistency check: an oracle that is not the Jacobi field
-    of any curvature tensor is rejected.
+    Polarization on the probes e_i and e_i + e_j gives S(., e_i, e_j, .) =
+    J(e_i + e_j) - J(e_i) - J(e_j), and 2 J(e_i) at i = j, for S(y,x,w,z) =
+    A(y,x,w,z) + A(y,w,x,z); the first Bianchi identity then gives A(a,b,c,d) =
+    (S(a,b,c,d) - S(b,a,c,d)) / 3.  Two gates at ``tol`` each raise
+    ``InconsistentOracleError``: the result's Jacobi operators at the probes
+    must match the oracle, and the result must pass the strict symmetry check.
     """
     m = oracle.dim
     if m < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {m}")
-    basis = curvature_space_basis(m)
     probes = _probe_vectors(m)
-    # one row block per probe x: the Jacobi matrices of every basis tensor at x
-    design = _jacobi_stack(basis.tensors, probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
     rhs = _oracle_targets((oracle.evaluate(x) for x in probes), m)
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    _check_fit(design, coeffs, rhs, tol, "the oracle is not the Jacobi field of any curvature tensor")
-    return basis.from_coordinates(coeffs)
+    values = rhs.reshape(-1, m, m)  # values[p][z, y] = <J(x_p) y, z>
+    first, second = np.triu_indices(m, 1)
+    polar = np.empty((m, m, m, m))  # polar[i, j][z, y] = S(y, e_i, e_j, z)
+    polar[first, second] = polar[second, first] = values[m:] - values[first] - values[second]
+    polar[np.arange(m), np.arange(m)] = 2.0 * values[:m]
+    s = polar.transpose(3, 0, 1, 2)
+    entries = (s - s.transpose(1, 0, 2, 3)) / 3.0
+    meaning = "the oracle is not the Jacobi field of any curvature tensor"
+    _check_fit(_jacobi_stack(entries, probes[:, :, None] * probes[:, None, :]).ravel(), rhs, tol, meaning)
+    try:
+        return validate_or_project(entries, "strict", tol)
+    except SymmetryViolationError as exc:
+        raise InconsistentOracleError(f"{exc}; {meaning}") from None
 
 
 _solver_cache: dict = {}  # (m, J bytes) -> solver
@@ -170,7 +184,7 @@ def _build_complex_jacobi_solver(structure: ComplexStructure):
     basis = curvature_space_basis(m)
     lines = spanning_lines(structure)
     # one row block per line: J(x) + J(Jx) of every basis tensor, through the line projector
-    design = _jacobi_stack(basis.tensors, np.array([line.projector for line in lines])).reshape(basis.count, -1).T
+    design = _jacobi_stack(basis.tensors, lines.projectors).reshape(basis.count, -1).T
     u, svals, vh = np.linalg.svd(design, full_matrices=False)
     rank = numerical_rank(svals)
     expected = basis.count - _flip_subspace_dim(m)
@@ -199,7 +213,7 @@ def reconstruct_from_complex_jacobi(
     lines = spanning_lines(oracle.structure)
     rhs = _oracle_targets((oracle.evaluate(line) for line in lines), oracle.structure.dim)
     coeffs = v_scaled @ (u.T @ rhs)
-    _check_fit(design, coeffs, rhs, tol, "no curvature tensor has these complex Jacobi operators")
+    _check_fit(design @ coeffs, rhs, tol, "no curvature tensor has these complex Jacobi operators")
     return curvature_space_basis(oracle.structure.dim).from_coordinates(coeffs)
 
 

@@ -544,18 +544,3 @@ def subspace_dimension(constraints, m: int, structure: ComplexStructure) -> int:
     """Dimension of the curvature-tensor subspace satisfying all listed constraints."""
     return int(subspace_coordinate_basis(constraints, m, structure).shape[0])
 
-
-def subspace_tensor_basis(constraints, m: int, structure: ComplexStructure) -> np.ndarray:
-    """Flattened orthonormal tensors (rows) spanning the constrained subspace."""
-    coords = subspace_coordinate_basis(constraints, m, structure)
-    return coords @ curvature_space_basis(m).matrix
-
-
-def project_to_constraints(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, constraints
-) -> AlgebraicCurvatureTensor:
-    """Orthogonal projection of a curvature tensor onto a constrained subspace."""
-    basis = curvature_space_basis(tensor.dim)
-    coords = basis.coordinates(tensor)
-    sub = subspace_coordinate_basis(constraints, tensor.dim, structure)
-    return basis.from_coordinates(sub.T @ (sub @ coords))

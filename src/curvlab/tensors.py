@@ -194,11 +194,6 @@ class CurvatureBasis:
         m = self.dim
         return self.matrix.reshape(self.count, m, m, m, m)
 
-    def coordinates(self, tensor: AlgebraicCurvatureTensor) -> np.ndarray:
-        if tensor.dim != self.dim:
-            raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {self.dim}")
-        return self.matrix @ tensor.entries.ravel()
-
     def from_coordinates(self, coords) -> AlgebraicCurvatureTensor:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.count,):

@@ -79,6 +79,46 @@ def constraint_nullspace_basis(m, rank_tol=1e-8):
     return vh[rank:]
 
 
+def jacobi_lstsq_solve(oracle):
+    """Reconstruct from a Jacobi-operator oracle by least squares over the curvature basis.
+
+    The design holds the Jacobi matrices of every basis tensor at the
+    polarization probes e_i and e_i + e_j; the fit is the tensor whose
+    coordinates solve it in the least-squares sense.  A reference for the
+    library's closed-form polarization, which must land on the same tensor.
+    """
+    from curvlab.constructions import _probe_vectors
+    from curvlab.operators import _jacobi_stack
+    from curvlab.tensors import curvature_space_basis
+
+    m = oracle.dim
+    basis = curvature_space_basis(m)
+    probes = _probe_vectors(m)
+    design = _jacobi_stack(basis.tensors, probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
+    rhs = np.concatenate([np.asarray(oracle.evaluate(x), dtype=float).ravel() for x in probes])
+    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return basis.from_coordinates(coeffs)
+
+
+def subspace_tensor_basis(constraints, m, structure):
+    """Flattened orthonormal tensors (rows) spanning the constrained subspace."""
+    from curvlab.identities import subspace_coordinate_basis
+    from curvlab.tensors import curvature_space_basis
+
+    coords = subspace_coordinate_basis(constraints, m, structure)
+    return coords @ curvature_space_basis(m).matrix
+
+
+def project_to_constraints(tensor, structure, constraints):
+    """Orthogonal projection of a curvature tensor onto a constrained subspace."""
+    from curvlab.identities import subspace_coordinate_basis
+    from curvlab.tensors import curvature_space_basis
+
+    basis = curvature_space_basis(tensor.dim)
+    sub = subspace_coordinate_basis(constraints, tensor.dim, structure)
+    return basis.from_coordinates(sub.T @ (sub @ (basis.matrix @ tensor.entries.ravel())))
+
+
 def complex_jacobi_subspace_solve(oracle):
     """Reconstruct from complex Jacobi data inside the eight-term identity subspace.
 

@@ -24,7 +24,6 @@ from curvlab import (
     lemma23_battery,
     merged_spectrum,
     p2_map,
-    project_to_constraints,
     pullback,
     random_curvature_tensor,
     random_orthogonal,
@@ -36,13 +35,12 @@ from curvlab import (
     standard_complex_structure,
     star_ricci,
     subspace_dimension,
-    subspace_tensor_basis,
     tensor_inner_product,
     twistor_point_model,
     validate_or_project,
 )
 from curvlab.spaces import build_quaternion_triple
-from helpers import spans_equal
+from helpers import project_to_constraints, spans_equal, subspace_tensor_basis
 
 
 def test_c01_curvature_space_dimensions():

@@ -332,6 +332,29 @@ def test_deep_structure_file_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_is_usage_error(tmp_path, capsys):
+    # exit 1 would read as a failed check
+    path = tmp_path / "fs.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "curvlab.cli",
+             "check", str(path), "symmetries", "compatibility", "--output", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1])),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_json_output_is_strict(tmp_path, capsys):
     # precondition failures have no residual: JSON gets null, text still prints nan
     path = tmp_path / "r.json"

@@ -28,14 +28,13 @@ from curvlab import (
     spanning_lines,
     standard_complex_structure,
     subspace_dimension,
-    subspace_tensor_basis,
     tensor_inner_product,
     twistor_point_model,
     validate_complex_structure,
     validate_or_project,
 )
 from curvlab import constructions
-from helpers import complex_jacobi_subspace_solve
+from helpers import complex_jacobi_subspace_solve, jacobi_lstsq_solve, subspace_tensor_basis
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -187,6 +186,45 @@ def test_complex_reconstruction_matches_subspace_solve(m):
         rec = reconstruct_from_complex_jacobi(oracle)
         ref = complex_jacobi_subspace_solve(oracle)
         assert np.max(np.abs(rec.entries - ref.entries)) < 1e-12, name
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_jacobi_reconstruction_matches_lstsq(m):
+    # the closed-form polarization lands on the least-squares fit over the
+    # curvature basis
+    for name, model in _gallery(m).items():
+        oracle = JacobiOracle.from_tensor(model.tensor)
+        rec = reconstruct_from_jacobi(oracle)
+        ref = jacobi_lstsq_solve(oracle)
+        assert np.max(np.abs(rec.entries - ref.entries)) < 1e-12, name
+
+
+@pytest.mark.parametrize("gates", ["both", "symmetry-only"])
+def test_reconstruct_rejects_symmetric_quadratic_non_jacobi_field(monkeypatch, gates):
+    # x -> J(x) + |x|^2 S is symmetric and quadratic, yet no tensor's Jacobi
+    # field; the strict symmetry check rejects it without the fit gate too
+    if gates == "symmetry-only":
+        monkeypatch.setattr(constructions, "_check_fit", lambda *args: None)
+    model = _gallery(4)["fubini-study"]
+    base = JacobiOracle.from_tensor(model.tensor)
+    shift = np.diag([1.0, 2.0, 3.0, 4.0])
+    oracle = JacobiOracle(4, lambda x: base.evaluate(x) + float(x @ x) * shift)
+    with pytest.raises(InconsistentOracleError):
+        reconstruct_from_jacobi(oracle)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["jacobi", "complex-jacobi"])
+def test_reconstruct_rejects_non_finite_oracle(mode, value):
+    m = 4
+    answer = np.full((m, m), value)
+    if mode == "jacobi":
+        with pytest.raises(InconsistentOracleError):
+            reconstruct_from_jacobi(JacobiOracle(m, lambda x: answer))
+    else:
+        oracle = ComplexJacobiOracle(m, standard_complex_structure(m), lambda line: answer)
+        with pytest.raises(InconsistentOracleError):
+            reconstruct_from_complex_jacobi(oracle)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])

@@ -26,7 +26,6 @@ from curvlab import (
     gray_classify,
     lemma23_battery,
     p2_map,
-    project_to_constraints,
     pullback,
     random_curvature_tensor,
     random_orthogonal,
@@ -34,7 +33,6 @@ from curvlab import (
     run_check,
     standard_complex_structure,
     subspace_dimension,
-    subspace_tensor_basis,
     tensor_inner_product,
     twistor_point_model,
     validate_complex_structure,
@@ -43,7 +41,14 @@ from curvlab import identities
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
 from curvlab.spaces import _freeze
-from helpers import IDENTITY_FORMULAS, contract, identity_defect_loop, spans_equal
+from helpers import (
+    IDENTITY_FORMULAS,
+    contract,
+    identity_defect_loop,
+    project_to_constraints,
+    spans_equal,
+    subspace_tensor_basis,
+)
 
 
 @pytest.fixture(scope="module")

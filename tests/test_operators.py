@@ -18,7 +18,6 @@ from curvlab import (
     holomorphic_sectional_curvature,
     jacobi,
     merged_spectrum,
-    project_to_constraints,
     q_quartic,
     random_curvature_tensor,
     random_orthogonal,
@@ -30,7 +29,7 @@ from curvlab import (
     validate_complex_structure,
 )
 from curvlab.operators import _jacobi_stack
-from helpers import contract, jacobi_loop
+from helpers import contract, jacobi_loop, project_to_constraints
 
 
 @pytest.fixture(scope="module")
