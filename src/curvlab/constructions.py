@@ -4,12 +4,13 @@ The two constructions are the quaternionic model whose complex Jacobi operator
 vanishes identically while the tensor does not, and the twistor-point model
 whose curvature changes under a complex isometry even though all complex
 Jacobi and complex curvature operators are preserved.  The two reconstruction
-routines recover a curvature tensor from a Jacobi-operator oracle (unique, in
-closed form by polarization and the first Bianchi identity, then gated on
-reproducing the oracle and on the strict symmetry check) and from a
-complex-Jacobi oracle (the minimum-norm fit over the curvature space; the map
-to complex Jacobi data has kernel a2perp by Lemma 2.3, so the fit is the
-tensor's eight-term component).
+routines recover a curvature tensor in closed form, both through one
+polarization and the first Bianchi identity: from a Jacobi-operator oracle
+(unique, then gated on reproducing the oracle and on the strict symmetry
+check) and from a complex-Jacobi oracle (one fixed J-slot combination and one
+projection onto curvature tensors give the minimum-norm fit; the map to complex
+Jacobi data has kernel a2perp by Lemma 2.3, so the fit is the tensor's
+eight-term component, gated on reproducing the oracle).
 """
 
 from __future__ import annotations
@@ -28,22 +29,12 @@ from .spaces import (
     ComplexLine,
     ComplexStructure,
     build_quaternion_triple,
-    cached_by_j,
     complex_line,
     spanning_lines,
     theta_map,
     validate_complex_isometry,
 )
-from .tensors import (
-    AlgebraicCurvatureTensor,
-    ComplexModel,
-    build_A0,
-    build_APhi,
-    curvature_space_basis,
-    numerical_rank,
-    pullback,
-    validate_or_project,
-)
+from .tensors import AlgebraicCurvatureTensor, ComplexModel, build_A0, build_APhi, pullback, validate_or_project
 
 RECONSTRUCTION_TOL = 1e-8
 
@@ -101,13 +92,6 @@ def twistor_point_model(m: int) -> tuple[ComplexModel, ComplexIsometry]:
     return ComplexModel(triple.j2, tensor), theta_map(triple)
 
 
-def _probe_vectors(m: int) -> np.ndarray:
-    # J(x) is quadratic in x, so values at e_i and e_i + e_j polarize everything.
-    eye = np.eye(m)
-    first, second = np.triu_indices(m, 1)
-    return np.vstack([eye, eye[first] + eye[second]])
-
-
 def _oracle_targets(values, m: int) -> np.ndarray:
     """The oracle's m x m answers, raveled and concatenated in query order; all finite."""
     targets = []
@@ -128,15 +112,35 @@ def _check_fit(fitted, rhs, tol: float, meaning: str) -> None:
         raise InconsistentOracleError(f"fitted residual {residual:.3e} exceeds {tol:.1e}; {meaning}")
 
 
+def _probe_vectors(m: int) -> np.ndarray:
+    # J(x) is quadratic in x, so values at e_i and e_i + e_j polarize everything.
+    eye = np.eye(m)
+    first, second = np.triu_indices(m, 1)
+    return np.vstack([eye, eye[first] + eye[second]])
+
+
+def _polarized(field: np.ndarray) -> np.ndarray:
+    """Z(a,b,c,d) = (S(a,b,c,d) - S(b,a,c,d)) / 3 for a Jacobi field x -> V(x),
+    from field[i, j][z, y] = <V(e_i + e_j) y, z> over all i, j (so 4 V(e_i) at i = j).
+
+    Polarization gives S(., e_i, e_j, .) = V(e_i + e_j) - V(e_i) - V(e_j), and
+    2 V(e_i) at i = j; when V is the Jacobi operator of a curvature tensor A,
+    S(y,x,w,z) = A(y,x,w,z) + A(y,w,x,z) and the first Bianchi identity makes Z = A.
+    """
+    m = field.shape[0]
+    single = field[np.arange(m), np.arange(m)] / 4.0
+    polar = field - single[:, None] - single[None, :]  # polar[i, j][z, y] = S(y, e_i, e_j, z)
+    s = polar.transpose(3, 0, 1, 2)
+    return (s - s.transpose(1, 0, 2, 3)) / 3.0
+
+
 def reconstruct_from_jacobi(
     oracle: JacobiOracle, tol: float = RECONSTRUCTION_TOL
 ) -> AlgebraicCurvatureTensor:
     """Recover the unique curvature tensor whose Jacobi operator matches the oracle.
 
-    Polarization on the probes e_i and e_i + e_j gives S(., e_i, e_j, .) =
-    J(e_i + e_j) - J(e_i) - J(e_j), and 2 J(e_i) at i = j, for S(y,x,w,z) =
-    A(y,x,w,z) + A(y,w,x,z); the first Bianchi identity then gives A(a,b,c,d) =
-    (S(a,b,c,d) - S(b,a,c,d)) / 3.  Two gates at ``tol`` each raise
+    The oracle's answers at the probes e_i and e_i + e_j polarize into the
+    tensor itself (``_polarized``).  Two gates at ``tol`` each raise
     ``InconsistentOracleError``: the result's Jacobi operators at the probes
     must match the oracle, and the result must pass the strict symmetry check.
     """
@@ -145,13 +149,12 @@ def reconstruct_from_jacobi(
         raise DimensionMismatchError(f"need dimension >= 2, got {m}")
     probes = _probe_vectors(m)
     rhs = _oracle_targets((oracle.evaluate(x) for x in probes), m)
-    values = rhs.reshape(-1, m, m)  # values[p][z, y] = <J(x_p) y, z>
+    values = rhs.reshape(-1, m, m)
     first, second = np.triu_indices(m, 1)
-    polar = np.empty((m, m, m, m))  # polar[i, j][z, y] = S(y, e_i, e_j, z)
-    polar[first, second] = polar[second, first] = values[m:] - values[first] - values[second]
-    polar[np.arange(m), np.arange(m)] = 2.0 * values[:m]
-    s = polar.transpose(3, 0, 1, 2)
-    entries = (s - s.transpose(1, 0, 2, 3)) / 3.0
+    field = np.empty((m, m, m, m))
+    field[first, second] = field[second, first] = values[m:]
+    field[np.arange(m), np.arange(m)] = 4.0 * values[:m]  # J(2 e_i)
+    entries = _polarized(field)
     meaning = "the oracle is not the Jacobi field of any curvature tensor"
     _check_fit(_jacobi_stack(entries, probes[:, :, None] * probes[:, None, :]).ravel(), rhs, tol, meaning)
     try:
@@ -160,61 +163,38 @@ def reconstruct_from_jacobi(
         raise InconsistentOracleError(f"{exc}; {meaning}") from None
 
 
-_solver_cache: dict = {}  # (m, J bytes) -> solver
-
-
-def _flip_subspace_dim(m: int) -> int:
-    """Closed-form dimension n^2 (n^2 - 1) / 6 of the flip subspace a2perp, n = m / 2."""
-    n = m // 2
-    return n * n * (n * n - 1) // 6
-
-
-def _complex_jacobi_solver(structure: ComplexStructure):
-    """Design and minimum-norm solve factors over the spanning lines of one J.
-
-    They depend on J alone, so they are cached by value, (m, J bytes), like
-    the spanning lines: models loaded separately with the same J share one
-    factorization and one sweep.
-    """
-    return cached_by_j(_solver_cache, 4, structure, lambda: _build_complex_jacobi_solver(structure))
-
-
-def _build_complex_jacobi_solver(structure: ComplexStructure):
-    m = structure.dim
-    basis = curvature_space_basis(m)
-    lines = spanning_lines(structure)
-    # one row block per line: J(x) + J(Jx) of every basis tensor, through the line projector
-    design = _jacobi_stack(basis.tensors, lines.projectors).reshape(basis.count, -1).T
-    u, svals, vh = np.linalg.svd(design, full_matrices=False)
-    rank = numerical_rank(svals)
-    expected = basis.count - _flip_subspace_dim(m)
-    if rank != expected:
-        raise EquivalenceViolationError(
-            f"complex Jacobi design has rank {rank}, but its kernel is a2perp by Lemma 2.3, "
-            f"so the rank is {expected}"
-        )
-    return design, u[:, :rank], vh[:rank].T / svals[:rank]
-
-
 def reconstruct_from_complex_jacobi(
     oracle: ComplexJacobiOracle, tol: float = RECONSTRUCTION_TOL
 ) -> AlgebraicCurvatureTensor:
     """Recover the eight-term component of a curvature tensor from its complex
-    Jacobi operators on the spanning lines.
+    Jacobi operators, in closed form.
 
-    The fit is the minimum-norm least-squares solution over the whole
-    curvature space.  By Lemma 2.3 the map A -> (J(pi))_pi vanishes exactly on
-    the flip subspace a2perp, whose orthogonal complement is the eight-term
-    identity subspace, so the minimum-norm solution is the tensor's eight-term
-    component: the tensor itself when it satisfies the identity, and zero for
-    the quaternionic counterexample, which lies in the kernel.
+    x -> J(pi(x)) |x|^2 = J(x) + J(Jx) is quadratic, so the oracle's answers on
+    the lines through the probes polarize (``_polarized``) into Z = A + M(A),
+    M(A)(a,b,c,d) = (A(a,Jb,Jc,d) + A(a,Jc,Jb,d) - A(b,Ja,Jc,d) - A(b,Jc,Ja,d)) / 3.
+    On curvature tensors K = P_curv (I + M) is symmetric and commutes with
+    J*A = A(J.,J.,J.,J.); its eigenvalues are 0 on a2perp (the kernel, by
+    Lemma 2.3), 1 where J* = -1, and 2/3 and 2 on a2.  So the minimum-norm fit
+    is P_curv((11 Z - 6 M(Z) - J*Z) / 8), the component orthogonal to a2perp:
+    the tensor itself when it satisfies the eight-term identity, and zero for
+    the quaternionic counterexample.  Its complex Jacobi operators on the
+    probed lines must match the oracle within ``tol``, or
+    ``InconsistentOracleError`` is raised.
     """
-    design, u, v_scaled = _complex_jacobi_solver(oracle.structure)
+    m, jmat = oracle.structure.dim, oracle.structure.matrix
     lines = spanning_lines(oracle.structure)
-    rhs = _oracle_targets((oracle.evaluate(line) for line in lines), oracle.structure.dim)
-    coeffs = v_scaled @ (u.T @ rhs)
-    _check_fit(design @ coeffs, rhs, tol, "no curvature tensor has these complex Jacobi operators")
-    return curvature_space_basis(oracle.structure.dim).from_coordinates(coeffs)
+    rhs = _oracle_targets((oracle.evaluate(lines[k]) for k in lines.probed), m)
+    field = rhs.reshape(-1, m, m)[lines.probe_index]
+    field *= (2.0 + 2.0 * np.eye(m))[:, :, None, None]  # |e_i + e_j|^2
+    z = _polarized(field)
+    # J on two slots at once: T(.., J e_b, .., J e_c, ..) is J^T T J over the slot pair
+    y = (jmat.T @ z.transpose(0, 3, 1, 2) @ jmat).transpose(0, 2, 3, 1)  # Z(a, Jb, Jc, d)
+    j_star = (jmat.T @ y.transpose(1, 2, 0, 3) @ jmat).transpose(2, 0, 1, 3)  # Z(Ja, Jb, Jc, Jd)
+    m_z = (y + y.transpose(0, 2, 1, 3) - y.transpose(1, 0, 2, 3) - y.transpose(2, 0, 1, 3)) / 3.0
+    fit = validate_or_project((11.0 * z - 6.0 * m_z - j_star) / 8.0, "project")
+    fitted = _jacobi_stack(fit.entries, lines.projectors[lines.probed]).ravel()
+    _check_fit(fitted, rhs, tol, "no curvature tensor has these complex Jacobi operators")
+    return fit
 
 
 def jacobi_equivalence_check(

@@ -265,7 +265,10 @@ class SpanningLines(tuple):
     also holds their representatives and projectors as read-only (L, m) and
     (L, m, m) stacks, so the line operators take them without restacking.
 
-    A slice is a plain tuple of lines.
+    ``probed`` holds the ascending indices of the lines through the
+    polarization probes e_i + e_j (e_i on the diagonal), and the (m, m)
+    ``probe_index[i, j]`` the position in ``probed`` of the line through
+    e_i + e_j.  A slice is a plain tuple of lines.
     """
 
     def __new__(cls, structure: ComplexStructure, representatives: np.ndarray, projectors: np.ndarray):
@@ -275,6 +278,15 @@ class SpanningLines(tuple):
         lines.structure = structure
         lines.representatives = representatives
         lines.projectors = projectors
+        # u^T P u = P_ii + P_jj + 2 P_ij at u = e_i + e_j is at most |u|^2, with
+        # equality on the one line through u
+        diag = np.diagonal(projectors, axis1=1, axis2=2)
+        nearest = np.argmax(diag[:, :, None] + diag[:, None, :] + 2.0 * projectors, axis=0)
+        used = np.zeros(len(projectors), dtype=bool)
+        used[nearest] = True
+        lines.probed, lines.probe_index = np.flatnonzero(used), (np.cumsum(used) - 1)[nearest]
+        lines.probed.setflags(write=False)
+        lines.probe_index.setflags(write=False)
         return lines
 
     def __getnewargs__(self):  # copy and pickle rebuild the lines from these

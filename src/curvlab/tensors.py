@@ -278,7 +278,8 @@ def curvature_space_basis(m: int) -> CurvatureBasis:
             f"closed-form basis has {count} rows, not the expected "
             f"dimension {curvature_space_dim(m)} at m={m}"
         )
-    return CurvatureBasis(m, _freeze(basis))
+    basis.setflags(write=False)  # read-only in place: a copy would double the peak
+    return CurvatureBasis(m, basis)
 
 
 def random_curvature_tensor(

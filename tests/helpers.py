@@ -147,6 +147,33 @@ def complex_jacobi_subspace_solve(oracle):
     return basis.from_coordinates(sub.T @ coeffs)
 
 
+def complex_jacobi_min_norm_solve(oracle):
+    """Reconstruct from complex Jacobi data by the minimum-norm least-squares
+    fit over the whole curvature basis.
+
+    The design holds the complex Jacobi operators of every basis tensor on
+    every spanning line.  Its rank is asserted to be N - n^2 (n^2 - 1) / 6,
+    n = m / 2: by Lemma 2.3 its kernel is the flip subspace a2perp.  A
+    reference for the library's closed form, which must land on the same
+    tensor.
+    """
+    from curvlab.operators import _jacobi_stack
+    from curvlab.spaces import spanning_lines
+    from curvlab.tensors import curvature_space_basis, numerical_rank
+
+    structure = oracle.structure
+    m, n = structure.dim, structure.dim // 2
+    basis = curvature_space_basis(m)
+    lines = spanning_lines(structure)
+    design = _jacobi_stack(basis.tensors, lines.projectors).reshape(basis.count, -1).T
+    rhs = np.concatenate([np.asarray(oracle.evaluate(line), dtype=float).ravel() for line in lines])
+    u, svals, vh = np.linalg.svd(design, full_matrices=False)
+    rank = numerical_rank(svals)
+    assert rank == basis.count - n * n * (n * n - 1) // 6, "complex Jacobi design kernel is not a2perp"
+    coeffs = vh[:rank].T @ ((u[:, :rank].T @ rhs) / svals[:rank])
+    return basis.from_coordinates(coeffs)
+
+
 def spanning_lines_loop(structure):
     """Candidate-by-candidate spanning-line sweep with pairwise ``same_line`` deduplication.
 

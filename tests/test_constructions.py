@@ -5,7 +5,6 @@ from curvlab import (
     ComplexJacobiOracle,
     ComplexModel,
     DimensionNotMultipleOf4Error,
-    EquivalenceViolationError,
     InconsistentOracleError,
     JacobiOracle,
     build_A0,
@@ -34,7 +33,13 @@ from curvlab import (
     validate_or_project,
 )
 from curvlab import constructions
-from helpers import complex_jacobi_subspace_solve, jacobi_lstsq_solve, subspace_tensor_basis
+from curvlab.tensors import curvature_space_basis
+from helpers import (
+    complex_jacobi_min_norm_solve,
+    complex_jacobi_subspace_solve,
+    jacobi_lstsq_solve,
+    subspace_tensor_basis,
+)
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -188,6 +193,19 @@ def test_complex_reconstruction_matches_subspace_solve(m):
         assert np.max(np.abs(rec.entries - ref.entries)) < 1e-12, name
 
 
+@pytest.mark.parametrize("m, kind", [(4, "standard"), (6, "standard"), (8, "standard"), (6, "rotated")])
+def test_complex_reconstruction_matches_min_norm_svd(m, kind):
+    # the closed form is the SVD's minimum-norm fit over the curvature basis;
+    # under a rotated J' = Q^T J Q the gallery is pulled back by Q
+    q = random_orthogonal(m, np.random.default_rng(100 + m)) if kind == "rotated" else np.eye(m)
+    for name, model in _gallery(m).items():
+        turned = validate_complex_structure(q.T @ model.structure.matrix @ q)
+        oracle = ComplexJacobiOracle.from_model(ComplexModel(turned, pullback(q, model.tensor)))
+        rec = reconstruct_from_complex_jacobi(oracle)
+        ref = complex_jacobi_min_norm_solve(oracle)
+        assert np.max(np.abs(rec.entries - ref.entries)) < 1e-12, name
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_jacobi_reconstruction_matches_lstsq(m):
     # the closed-form polarization lands on the least-squares fit over the
@@ -229,34 +247,116 @@ def test_reconstruct_rejects_non_finite_oracle(mode, value):
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_flip_subspace_closed_form_dimension(m):
+    n = m // 2
     jm = standard_complex_structure(m)
     q = random_orthogonal(m, np.random.default_rng(m))
     conjugated = validate_complex_structure(q @ jm.matrix @ q.T)
     for structure in (jm, conjugated):
-        assert subspace_dimension(["a2perp"], m, structure) == constructions._flip_subspace_dim(m)
+        assert subspace_dimension(["a2perp"], m, structure) == n * n * (n * n - 1) // 6
 
 
-def test_complex_reconstruction_caches_by_value_of_j():
-    # structures built separately with the same J share one factorization, and
-    # a cache hit still runs the fit check on the new oracle's answers
+def _structure(m, kind):
+    jm = standard_complex_structure(m)
+    if kind == "standard":
+        return jm
+    q = random_orthogonal(m, np.random.default_rng(100 + m))
+    return validate_complex_structure(q @ jm.matrix @ q.T)
+
+
+def _normal_operator(m, j):
+    """K = P_curv (I + M) and J* over the curvature basis, written out with einsum.
+
+    M(A)(a,b,c,d) = (A(a,Jb,Jc,d) + A(a,Jc,Jb,d) - A(b,Ja,Jc,d) - A(b,Jc,Ja,d)) / 3
+    and J*A = A(J.,J.,J.,J.).
+    """
+    basis = curvature_space_basis(m)
+    b = basis.tensors
+    mb = (
+        np.einsum("napqd,pb,qc->nabcd", b, j, j, optimize=True)
+        + np.einsum("napqd,pc,qb->nabcd", b, j, j, optimize=True)
+        - np.einsum("nbpqd,pa,qc->nabcd", b, j, j, optimize=True)
+        - np.einsum("nbpqd,pc,qa->nabcd", b, j, j, optimize=True)
+    ) / 3.0
+    jb = np.einsum("npqrs,pa,qb,rc,sd->nabcd", b, j, j, j, j, optimize=True)
+    flat = basis.matrix
+    k = np.eye(basis.count) + flat @ mb.reshape(basis.count, -1).T
+    return k, flat @ jb.reshape(basis.count, -1).T
+
+
+@pytest.mark.parametrize("kind", ["standard", "rotated"])
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_complex_jacobi_normal_operator_spectrum(m, kind):
+    # the certificate behind the closed form: K is symmetric, commutes with J*,
+    # and has eigenvalues 0 (on a2perp), 2/3, 1 (where J* = -1) and 2 only
+    n = m // 2
+    k, jstar = _normal_operator(m, _structure(m, kind).matrix)
+    np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(k @ jstar, jstar @ k, rtol=0, atol=1e-12)
+    eigs = np.linalg.eigvalsh(k)
+    levels = np.array([0.0, 2.0 / 3.0, 1.0, 2.0])
+    nearest = np.argmin(np.abs(eigs[:, None] - levels), axis=1)
+    assert np.max(np.abs(eigs - levels[nearest])) < 1e-10
+    assert np.sum(nearest == 0) == n * n * (n * n - 1) // 6
+    assert np.sum(nearest == 2) == np.sum(np.linalg.eigvalsh(jstar) < 0)
+
+
+def test_complex_reconstruction_rejects_non_symmetric_oracle():
     m = 6
-    matrix = standard_complex_structure(m).matrix
-    first, second = validate_complex_structure(matrix.copy()), validate_complex_structure(matrix.copy())
-    fs = build_A0(m) + build_APhi(first)
-    rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(first, fs)))
-    assert (rec - fs).norm() < 1e-10
-    assert constructions._complex_jacobi_solver(second) is constructions._complex_jacobi_solver(first)
     not_symmetric = np.triu(np.ones((m, m)))
+    oracle = ComplexJacobiOracle(m, standard_complex_structure(m), lambda line: not_symmetric)
     with pytest.raises(InconsistentOracleError):
-        reconstruct_from_complex_jacobi(ComplexJacobiOracle(m, second, lambda line: not_symmetric))
+        reconstruct_from_complex_jacobi(oracle)
 
 
-def test_complex_reconstruction_rank_mismatch_is_a_bug(monkeypatch):
-    monkeypatch.setattr(constructions, "_solver_cache", {})
-    monkeypatch.setattr(constructions, "_flip_subspace_dim", lambda m: 0)
-    model = _gallery(4)["fubini-study"]
-    with pytest.raises(EquivalenceViolationError):
-        reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(model))
+@pytest.mark.parametrize("kind", ["standard", "rotated"])
+def test_complex_reconstruction_queries_only_probed_lines(kind):
+    structure = _structure(6, kind)
+    model = ComplexModel(structure, random_curvature_tensor(6, 3))
+    base = ComplexJacobiOracle.from_model(model)
+    asked = []
+    counting = ComplexJacobiOracle(6, structure, lambda line: asked.append(line) or base.evaluate(line))
+    lines = spanning_lines(structure)
+    rec = reconstruct_from_complex_jacobi(counting)
+    assert len(asked) == len(lines.probed) < len(lines)
+    assert all(line is lines[k] for line, k in zip(asked, lines.probed))
+    assert (rec - reconstruct_from_complex_jacobi(base)).norm() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["standard", "rotated"])
+@pytest.mark.parametrize("m", [4, 6])
+def test_complex_reconstruction_rejects_one_wrong_probed_line(m, kind):
+    structure = _structure(m, kind)
+    base = ComplexJacobiOracle.from_model(ComplexModel(structure, build_A0(m) + build_APhi(structure)))
+    lines = spanning_lines(structure)
+    rng = np.random.default_rng(m)
+    for k in lines.probed:
+        noise = rng.standard_normal((m, m))
+        shift = 1e-3 * (noise + noise.T)
+        wrong = ComplexJacobiOracle(
+            m, structure, lambda line, bad=lines[k]: base.evaluate(line) + (shift if line is bad else 0.0)
+        )
+        with pytest.raises(InconsistentOracleError):
+            reconstruct_from_complex_jacobi(wrong)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_complex_reconstruction_equivariance(m):
+    # with J' = Q^T J Q, the J'-line through x is carried to the J-line through
+    # Qx, and the reconstruction from the composed oracle is the pullback by Q;
+    # the random tensor has an a2perp component, so the projection is covered
+    structure = standard_complex_structure(m)
+    base = ComplexJacobiOracle.from_model(ComplexModel(structure, random_curvature_tensor(m, 21)))
+    for seed in range(3):
+        q = random_orthogonal(m, np.random.default_rng(seed))
+        turned = validate_complex_structure(q.T @ structure.matrix @ q)
+        composed = ComplexJacobiOracle(
+            m,
+            turned,
+            lambda line, t=q: t.T @ base.evaluate(complex_line(t @ line.representative, structure)) @ t,
+        )
+        lhs = reconstruct_from_complex_jacobi(composed)
+        rhs = pullback(q, reconstruct_from_complex_jacobi(base))
+        assert (lhs - rhs).norm() < 1e-10
 
 
 def test_jacobi_equivalence_self():

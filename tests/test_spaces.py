@@ -140,6 +140,8 @@ def test_spanning_lines_survive_copy_and_pickle():
     for clone in (copy.copy(lines), copy.deepcopy(lines), pickle.loads(pickle.dumps(lines))):
         assert type(clone) is type(lines) and len(clone) == len(lines)
         np.testing.assert_array_equal(clone.projectors, lines.projectors)
+        np.testing.assert_array_equal(clone.probe_index, lines.probe_index)
+        np.testing.assert_array_equal(clone.probed, lines.probed)
         assert all(a.same_line(b) for a, b in zip(clone, lines))
 
 
@@ -166,6 +168,31 @@ def test_spanning_lines_match_loop_oracle(structure):
         np.testing.assert_allclose(line.representative, ref.representative, rtol=0, atol=1e-14)
         np.testing.assert_allclose(line.projector, ref.projector, rtol=0, atol=1e-14)
         assert line.structure.matrix.tobytes() == structure.matrix.tobytes()
+
+
+@pytest.mark.parametrize("structure", [s for _, s in _sweep_structures()], ids=[n for n, _ in _sweep_structures()])
+def test_probe_index_names_the_line_through_each_probe(structure):
+    # probe_index[i, j] names the probed line through e_i + e_j, through e_i at i = j
+    m = structure.dim
+    eye = np.eye(m)
+    lines = spanning_lines(structure)
+    assert lines.probe_index.shape == (m, m)
+    np.testing.assert_array_equal(lines.probe_index, lines.probe_index.T)
+    np.testing.assert_array_equal(np.unique(lines.probed), lines.probed)
+    assert set(lines.probe_index.ravel().tolist()) == set(range(len(lines.probed)))
+    for i in range(m):
+        for j in range(m):
+            line = lines[lines.probed[lines.probe_index[i, j]]]
+            assert line.same_line(complex_line(eye[i] + eye[j], structure))
+
+
+def test_probed_line_counts():
+    assert len(spanning_lines(standard_complex_structure(6)).probed) == 12
+    assert len(spanning_lines(standard_complex_structure(12)).probed) == 51
+    # a generic J puts each of the m (m + 1) / 2 probes on a line of its own
+    q = random_orthogonal(12, np.random.default_rng(12))
+    rotated = validate_complex_structure(q @ standard_complex_structure(12).matrix @ q.T)
+    assert len(spanning_lines(rotated).probed) == 78
 
 
 def test_spanning_lines_cached_per_value_of_j():
