@@ -33,6 +33,7 @@ from .modelio import load_matrix, load_model, save_matrix, save_model
 from .operators import complex_jacobi, jacobi, merged_spectrum
 from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure
 from .tensors import (
+    AlgebraicCurvatureTensor,
     ComplexModel,
     build_A0,
     build_APhi,
@@ -167,17 +168,17 @@ def _cmd_spectra(args):
 
 
 def _cmd_reconstruct(args):
-    loaded = load_model(args.model, tol=args.tol)
-    model = loaded.model
+    model = load_model(args.model, tol=args.tol).model
+    # work at scale 2^-e, for the least e with max|A| < 2^e: a power of two
+    # changes no digit, and a model near the float range does not overflow
+    _, e = math.frexp(float(np.max(np.abs(model.tensor.entries))))
+    scaled = ComplexModel(model.structure, AlgebraicCurvatureTensor(np.ldexp(model.tensor.entries, -e)))
     if args.mode == "jacobi":
-        oracle = JacobiOracle.from_tensor(model.tensor)
-        recon = reconstruct_from_jacobi(oracle)
+        recon = reconstruct_from_jacobi(JacobiOracle.from_tensor(scaled.tensor))
     else:
-        oracle = ComplexJacobiOracle.from_model(model)
-        recon = reconstruct_from_complex_jacobi(oracle)
-    diff = recon - model.tensor
-    rel = diff.norm() / (1.0 + model.tensor.norm())
-    out_model = ComplexModel(model.structure, recon)
+        recon = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(scaled))
+    rel = (recon - scaled.tensor).norm() / (1.0 + scaled.tensor.norm())
+    out_model = ComplexModel(model.structure, AlgebraicCurvatureTensor(np.ldexp(recon.entries, e)))
     save_model(out_model, args.out, metadata={"kind": f"reconstructed-{args.mode}", "source": args.model})
     report = IdentityReport(f"reconstruct-{args.mode}", bool(rel <= 1e-8), rel, (), 1e-8)
     lines = [f"wrote {args.out}", f"round-trip relative error {rel:.3e}"]

@@ -5,12 +5,14 @@ vanishes identically while the tensor does not, and the twistor-point model
 whose curvature changes under a complex isometry even though all complex
 Jacobi and complex curvature operators are preserved.  The two reconstruction
 routines recover a curvature tensor in closed form, both through one
-polarization and the first Bianchi identity: from a Jacobi-operator oracle
-(unique, then gated on reproducing the oracle and on the strict symmetry
-check) and from a complex-Jacobi oracle (one fixed J-slot combination and one
-projection onto curvature tensors give the minimum-norm fit; the map to complex
-Jacobi data has kernel a2perp by Lemma 2.3, so the fit is the tensor's
-eight-term component, gated on reproducing the oracle).
+polarization over the probes e_i and e_i + e_j of ``spaces.probe_vectors``
+and the first Bianchi identity: from a Jacobi-operator oracle queried at the
+probes (unique, then gated on reproducing the oracle and on the strict
+symmetry check) and from a complex-Jacobi oracle queried on the lines through
+them (one fixed J-slot combination and one projection onto curvature tensors
+give the minimum-norm fit; the map to complex Jacobi data has kernel a2perp by
+Lemma 2.3, so the fit is the tensor's eight-term component, gated on
+reproducing the oracle).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .spaces import (
     ComplexStructure,
     build_quaternion_triple,
     complex_line,
+    probe_vectors,
     spanning_lines,
     theta_map,
     validate_complex_isometry,
@@ -112,13 +115,6 @@ def _check_fit(fitted, rhs, tol: float, meaning: str) -> None:
         raise InconsistentOracleError(f"fitted residual {residual:.3e} exceeds {tol:.1e}; {meaning}")
 
 
-def _probe_vectors(m: int) -> np.ndarray:
-    # J(x) is quadratic in x, so values at e_i and e_i + e_j polarize everything.
-    eye = np.eye(m)
-    first, second = np.triu_indices(m, 1)
-    return np.vstack([eye, eye[first] + eye[second]])
-
-
 def _polarized(field: np.ndarray) -> np.ndarray:
     """Z(a,b,c,d) = (S(a,b,c,d) - S(b,a,c,d)) / 3 for a Jacobi field x -> V(x),
     from field[i, j][z, y] = <V(e_i + e_j) y, z> over all i, j (so 4 V(e_i) at i = j).
@@ -147,7 +143,7 @@ def reconstruct_from_jacobi(
     m = oracle.dim
     if m < 2:
         raise DimensionMismatchError(f"need dimension >= 2, got {m}")
-    probes = _probe_vectors(m)
+    probes = probe_vectors(m)
     rhs = _oracle_targets((oracle.evaluate(x) for x in probes), m)
     values = rhs.reshape(-1, m, m)
     first, second = np.triu_indices(m, 1)
@@ -170,20 +166,21 @@ def reconstruct_from_complex_jacobi(
     Jacobi operators, in closed form.
 
     x -> J(pi(x)) |x|^2 = J(x) + J(Jx) is quadratic, so the oracle's answers on
-    the lines through the probes polarize (``_polarized``) into Z = A + M(A),
+    the spanning lines, the lines through the probes, polarize
+    (``_polarized``) into Z = A + M(A),
     M(A)(a,b,c,d) = (A(a,Jb,Jc,d) + A(a,Jc,Jb,d) - A(b,Ja,Jc,d) - A(b,Jc,Ja,d)) / 3.
     On curvature tensors K = P_curv (I + M) is symmetric and commutes with
     J*A = A(J.,J.,J.,J.); its eigenvalues are 0 on a2perp (the kernel, by
     Lemma 2.3), 1 where J* = -1, and 2/3 and 2 on a2.  So the minimum-norm fit
     is P_curv((11 Z - 6 M(Z) - J*Z) / 8), the component orthogonal to a2perp:
     the tensor itself when it satisfies the eight-term identity, and zero for
-    the quaternionic counterexample.  Its complex Jacobi operators on the
-    probed lines must match the oracle within ``tol``, or
-    ``InconsistentOracleError`` is raised.
+    the quaternionic counterexample.  Each spanning line is queried once, in
+    order, and the fit's complex Jacobi operators on them must match the
+    oracle within ``tol``, or ``InconsistentOracleError`` is raised.
     """
     m, jmat = oracle.structure.dim, oracle.structure.matrix
     lines = spanning_lines(oracle.structure)
-    rhs = _oracle_targets((oracle.evaluate(lines[k]) for k in lines.probed), m)
+    rhs = _oracle_targets((oracle.evaluate(line) for line in lines), m)
     field = rhs.reshape(-1, m, m)[lines.probe_index]
     field *= (2.0 + 2.0 * np.eye(m))[:, :, None, None]  # |e_i + e_j|^2
     z = _polarized(field)
@@ -192,7 +189,7 @@ def reconstruct_from_complex_jacobi(
     j_star = (jmat.T @ y.transpose(1, 2, 0, 3) @ jmat).transpose(2, 0, 1, 3)  # Z(Ja, Jb, Jc, Jd)
     m_z = (y + y.transpose(0, 2, 1, 3) - y.transpose(1, 0, 2, 3) - y.transpose(2, 0, 1, 3)) / 3.0
     fit = validate_or_project((11.0 * z - 6.0 * m_z - j_star) / 8.0, "project")
-    fitted = _jacobi_stack(fit.entries, lines.projectors[lines.probed]).ravel()
+    fitted = _jacobi_stack(fit.entries, lines.projectors).ravel()
     _check_fit(fitted, rhs, tol, "no curvature tensor has these complex Jacobi operators")
     return fit
 

@@ -1,10 +1,12 @@
 """Predicates and verifiers for the curvature identities of compatible complex models.
 
 Each check evaluates a linear-in-A identity on a certifying set (all basis
-quadruples for tensor identities, the spanning lines for operator identities)
-and reports the worst normalized residual together with a witness that
-reproduces it.  Residuals are normalized by 1 + max|A|, so pass/fail is scale
-free; the default tolerance is 1e-10.
+quadruples for tensor identities, the lines through the polarization probes
+for operator identities, which are quadratic in the line) and reports the
+worst normalized residual together with a witness that reproduces it.  The
+quartic Q(x) = A(x,Jx,Jx,x) behind the sato preconditions is decided exactly
+on R^m, from its symmetrized tensor.  Residuals are normalized by
+1 + max|A|, so pass/fail is scale free; the default tolerance is 1e-10.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from .errors import (
     QNotZeroError,
     UnknownConstraintTagError,
 )
-from .operators import (
-    complex_curvature_operator,
-    complex_jacobi,
-    holomorphic_sectional_curvature,
-    ricci,
-    star_ricci,
-)
+from .operators import complex_curvature_operator, complex_jacobi, ricci, star_ricci
 from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, cached_by_j, random_unit_vector, spanning_lines
 from .tensors import (
     AlgebraicCurvatureTensor,
@@ -352,37 +348,59 @@ def check_vanhecke(
     return _report("vanhecke", float(residuals[worst_at]), witness, tol, {"pairs": len(x_arr)})
 
 
+@functools.lru_cache(maxsize=4)
+def _sym_gg(m: int) -> np.ndarray:
+    """Sym(g (x) g), the tensor of |x|^4: the mean of d_ij d_kl, d_ik d_jl and d_il d_jk."""
+    gg = np.eye(m)[:, :, None, None] * np.eye(m)
+    return _freeze((gg + gg.transpose(0, 2, 1, 3) + gg.transpose(0, 2, 3, 1)) / 3.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _q_form(model: ComplexModel) -> tuple[float, float, float]:
+    """(c, max|S - c G|, max|S|), the residuals over 1 + max|A|, for Q(x) = A(x,Jx,Jx,x).
+
+    Q(x) = B(x,x,x,x) for B = A(x,Jy,Jz,w), and a quartic form vanishes on R^m
+    exactly when S, its tensor averaged over the 24 slot orders, does.  So
+    Q = c|x|^4 exactly when S = c G, for G = Sym(g (x) g) and
+    c = 3 sum_ik S_iikk / (m^2 + 2m), and Q = 0 exactly when S = 0.  Cached
+    per model, so sato1 and sato2 share one run.
+    """
+    m, a = model.dim, model.tensor.entries
+    # the 24 orders as three coset sums; dividing first keeps them from overflowing
+    s = arranged(a, model.structure.matrix, ("x", "Jy", "Jz", "w")) / 24.0
+    s = s + s.transpose(0, 1, 3, 2)
+    s = s + s.transpose(0, 2, 1, 3) + s.transpose(0, 3, 2, 1)
+    s = s + s.transpose(1, 0, 2, 3) + s.transpose(2, 1, 0, 3) + s.transpose(3, 1, 2, 0)
+    c = 3.0 * m / (m + 2) * float(np.sum(np.einsum("iikk->ik", s) / (m * m)))  # a mean, which cannot overflow
+    return c, float(np.max(np.abs(s - c * _sym_gg(m)))) / _scale(a), float(np.max(np.abs(s))) / _scale(a)
+
+
 def check_sato(
     model: ComplexModel, variant: int, c: float | None = None, tol: float = DEFAULT_TOL
 ) -> IdentityReport:
     """Constant holomorphic sectional curvature identities.
 
     Variant 1 rewrites A through (c/4) of the canonical constant-Q tensor plus
-    a J-twisted bracket of A itself; it requires Q constant across the spanning
-    lines and uses the measured value when ``c`` is not supplied.  Variant 2 is
-    the constant-zero-Q identity and requires Q identically zero on the lines.
+    a J-twisted bracket of A itself; it requires Q = c|x|^4 on R^m and uses
+    the measured c when ``c`` is not supplied.  Variant 2 is the
+    constant-zero-Q identity and requires Q identically zero on R^m.  Both
+    preconditions are decided exactly (``_q_form``); ``details`` carries the
+    measured c and the residual of the precondition, ``q_residual``.
     """
     _require_compatible(model, tol)
     a = model.tensor.entries
-    scale = _scale(a)
-    q_values = holomorphic_sectional_curvature(model.tensor, model.structure, spanning_lines(model.structure))
+    c_measured, off_constant, off_zero = _q_form(model)
     if variant == 1:
-        spread = float(q_values.max() - q_values.min())
-        if spread > tol * scale:
-            raise QNotConstantError(
-                f"Q varies by {spread:.3e} across the spanning lines; variant 1 needs constant Q"
-            )
-        c_used = float(np.mean(q_values)) if c is None else float(c)
+        if off_constant > tol:
+            raise QNotConstantError(f"Q is not constant on R^m (residual {off_constant:.3e}); variant 1 needs it")
+        c_used = c_measured if c is None else float(c)
         defect = _sato1_defect(a, model.structure, c_used)
-        return _quadruple_report("sato1", defect, scale, tol, {"c": c_used})
+        return _quadruple_report("sato1", defect, _scale(a), tol, {"c": c_used, "q_residual": off_constant})
     if variant == 2:
-        worst_q = float(np.max(np.abs(q_values)))
-        if worst_q > tol * scale:
-            raise QNotZeroError(
-                f"max |Q| = {worst_q:.3e} on the spanning lines; variant 2 needs Q identically zero"
-            )
+        if off_zero > tol:
+            raise QNotZeroError(f"Q is not zero on R^m (residual {off_zero:.3e}); variant 2 needs it identically zero")
         defect = _defect("sato2", a, model.structure.matrix)
-        return _quadruple_report("sato2", defect, scale, tol)
+        return _quadruple_report("sato2", defect, _scale(a), tol, {"c": c_measured, "q_residual": off_zero})
     raise ValueError(f"unknown variant {variant!r}, expected 1 or 2")
 
 

@@ -62,18 +62,6 @@ def _jacobi_stack(entries: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return out.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
-def _quartic_batch(entries: np.ndarray, xs, ys, zs, ws) -> np.ndarray:
-    """A(x_n, y_n, z_n, w_n) for each row n of the four (n, m) arrays."""
-    mats = _jacobi_stack(entries, ys[:, :, None] * zs[:, None, :])
-    return np.sum(ws * (mats @ xs[:, :, None])[:, :, 0], axis=1)
-
-
-def _q_batch(entries: np.ndarray, jmat: np.ndarray, vs) -> np.ndarray:
-    """Q(v_n) = A(v_n, Jv_n, Jv_n, v_n) for each row n."""
-    vj = vs @ jmat.T
-    return _quartic_batch(entries, vs, vj, vj, vs)
-
-
 def jacobi_matrix(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
     """Raw matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
     v = _as_vector(x, tensor.dim)
@@ -176,7 +164,9 @@ def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) 
                 f"vectors of shape {vs.shape} and a {structure.dim}-dimensional structure "
                 f"do not match dimension {tensor.dim}"
             )
-        return _q_batch(tensor.entries, structure.matrix, vs)
+        vj = vs @ structure.matrix.T
+        mats = _jacobi_stack(tensor.entries, vj[:, :, None] * vj[:, None, :])  # J(Jv_n)
+        return np.sum(vs * (mats @ vs[:, :, None])[:, :, 0], axis=1)
     x = _as_vector(v, tensor.dim)
     return float(x @ jacobi_matrix(tensor, structure.apply(x)) @ x)
 

@@ -2,6 +2,8 @@
 
 Everything lives in R^m with the standard dot product and the standard
 orthonormal basis, so structures and isometries are plain dense matrices.
+The polarization probes e_i and e_i + e_j are the one certifying set: the
+lines through them certify every map quadratic in the line representative.
 """
 
 from __future__ import annotations
@@ -249,15 +251,15 @@ def cached_by_j(cache: dict, bound: int, structure: ComplexStructure, build, *ex
 _lines_cache: dict = {}  # (m, J bytes) -> lines
 
 
-def _line_candidates(jmat: np.ndarray) -> np.ndarray:
-    """Rows e_i, then e_i + e_j and e_i + J e_j for each pair i < j, degenerate ones dropped."""
-    m = jmat.shape[0]
+def probe_vectors(m: int) -> np.ndarray:
+    """The polarization probes: rows e_i, then e_i + e_j for each pair i < j.
+
+    A map quadratic in x is fixed by its values here: the e_i values pin the
+    diagonal coefficients and the e_i + e_j values polarize the mixed ones.
+    """
     eye = np.eye(m)
     first, second = np.triu_indices(m, 1)
-    pairs = np.stack([eye[first] + eye[second], eye[first] + jmat[:, second].T], axis=1).reshape(-1, m)
-    nondegenerate = np.ones(len(pairs), dtype=bool)
-    nondegenerate[1::2] = np.linalg.norm(pairs[1::2], axis=1) > 1e-8
-    return np.vstack([eye, pairs[nondegenerate]])
+    return np.vstack([eye, eye[first] + eye[second]])
 
 
 class SpanningLines(tuple):
@@ -265,10 +267,8 @@ class SpanningLines(tuple):
     also holds their representatives and projectors as read-only (L, m) and
     (L, m, m) stacks, so the line operators take them without restacking.
 
-    ``probed`` holds the ascending indices of the lines through the
-    polarization probes e_i + e_j (e_i on the diagonal), and the (m, m)
-    ``probe_index[i, j]`` the position in ``probed`` of the line through
-    e_i + e_j.  A slice is a plain tuple of lines.
+    The (m, m) ``probe_index[i, j]`` is the index of the line through the
+    probe e_i + e_j (e_i on the diagonal).  A slice is a plain tuple of lines.
     """
 
     def __new__(cls, structure: ComplexStructure, representatives: np.ndarray, projectors: np.ndarray):
@@ -281,11 +281,7 @@ class SpanningLines(tuple):
         # u^T P u = P_ii + P_jj + 2 P_ij at u = e_i + e_j is at most |u|^2, with
         # equality on the one line through u
         diag = np.diagonal(projectors, axis1=1, axis2=2)
-        nearest = np.argmax(diag[:, :, None] + diag[:, None, :] + 2.0 * projectors, axis=0)
-        used = np.zeros(len(projectors), dtype=bool)
-        used[nearest] = True
-        lines.probed, lines.probe_index = np.flatnonzero(used), (np.cumsum(used) - 1)[nearest]
-        lines.probed.setflags(write=False)
+        lines.probe_index = np.argmax(diag[:, :, None] + diag[:, None, :] + 2.0 * projectors, axis=0)
         lines.probe_index.setflags(write=False)
         return lines
 
@@ -294,9 +290,9 @@ class SpanningLines(tuple):
 
 
 def _sweep(structure: ComplexStructure) -> SpanningLines:
-    """The lines of all candidates at once, normalized and signed as complex_line does."""
-    xs = _line_candidates(structure.matrix)
-    xs = xs / np.linalg.norm(xs, axis=1)[:, None]
+    """The lines through all probes at once, normalized and signed as complex_line does."""
+    xs = probe_vectors(structure.dim)
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
     leads = xs[np.arange(len(xs)), np.argmax(np.abs(xs) > 1e-9, axis=1)]
     xs[leads < 0] *= -1.0
     jxs = xs @ structure.matrix.T
@@ -307,8 +303,8 @@ def _sweep(structure: ComplexStructure) -> SpanningLines:
     # entrywise comparison
     later, earlier = np.nonzero(np.tril(flat @ flat.T > 1.5, -1))
     same = np.max(np.abs(flat[later] - flat[earlier]), axis=1) <= LINE_EQ_TOL
-    # a candidate is dropped when it equals a line kept before it; pairs come
-    # ordered by the later candidate, so every earlier verdict is final
+    # a probe is dropped when its line equals a line kept before it; pairs
+    # come ordered by the later probe, so every earlier verdict is final
     dropped = np.zeros(len(xs), dtype=bool)
     for index, before in zip(later[same].tolist(), earlier[same].tolist()):
         if not dropped[before]:
@@ -317,16 +313,13 @@ def _sweep(structure: ComplexStructure) -> SpanningLines:
 
 
 def spanning_lines(structure: ComplexStructure) -> SpanningLines:
-    """Complex lines through e_i, (e_i + e_j)/sqrt2 and (e_i + J e_j)/sqrt2, deduplicated.
+    """Complex lines through the probes e_i and (e_i + e_j)/sqrt2, deduplicated.
 
     Any operator- or scalar-valued map that is quadratic in the line
-    representative and vanishes on this set vanishes on every complex line:
-    the e_i values pin the diagonal coefficients and the e_i + e_j values
-    polarize the mixed ones.  Candidates that degenerate to the zero vector
-    (possible when J e_j = -e_i) are skipped.  The lines come in candidate
-    order, each with the representative ``complex_line`` would give it, and a
-    candidate is dropped when its projector is within ``LINE_EQ_TOL`` of a
-    line kept before it.
+    representative and vanishes on this set vanishes on every complex line
+    (see ``probe_vectors``).  The lines come in probe order, each with the
+    representative ``complex_line`` would give it, and a probe is dropped when
+    its projector is within ``LINE_EQ_TOL`` of a line kept before it.
 
     Cached per value of J, (m, J bytes), so models loaded separately with the
     same J share one sweep; the cache is small so that a long run over many

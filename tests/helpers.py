@@ -87,13 +87,13 @@ def jacobi_lstsq_solve(oracle):
     coordinates solve it in the least-squares sense.  A reference for the
     library's closed-form polarization, which must land on the same tensor.
     """
-    from curvlab.constructions import _probe_vectors
     from curvlab.operators import _jacobi_stack
+    from curvlab.spaces import probe_vectors
     from curvlab.tensors import curvature_space_basis
 
     m = oracle.dim
     basis = curvature_space_basis(m)
-    probes = _probe_vectors(m)
+    probes = probe_vectors(m)
     design = _jacobi_stack(basis.tensors, probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
     rhs = np.concatenate([np.asarray(oracle.evaluate(x), dtype=float).ravel() for x in probes])
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
@@ -174,12 +174,14 @@ def complex_jacobi_min_norm_solve(oracle):
     return basis.from_coordinates(coeffs)
 
 
-def spanning_lines_loop(structure):
+def spanning_lines_loop(structure, with_mixed=False):
     """Candidate-by-candidate spanning-line sweep with pairwise ``same_line`` deduplication.
 
     A reference for the library's array sweep: one ``complex_line`` per
-    candidate e_i, e_i + e_j, e_i + J e_j (degenerate mixed candidates
-    skipped), kept unless it equals a line kept before it.
+    probe e_i, then e_i + e_j, kept unless it equals a line kept before it.
+    With ``with_mixed`` each pair i < j also offers e_i + J e_j after
+    e_i + e_j (degenerate ones skipped): the larger candidate set of earlier
+    versions, kept as an oracle for the verdicts of the line conditions.
     """
     from curvlab.spaces import complex_line
 
@@ -190,7 +192,7 @@ def spanning_lines_loop(structure):
         for j in range(i + 1, m):
             candidates.append(eye[i] + eye[j])
             mixed = eye[i] + structure.matrix[:, j]
-            if np.linalg.norm(mixed) > 1e-8:
+            if with_mixed and np.linalg.norm(mixed) > 1e-8:
                 candidates.append(mixed)
     lines = []
     for vec in candidates:

@@ -155,7 +155,7 @@ def test_spectra_sweep_and_vector(tmp_path, capsys):
     code, out, _ = run(capsys, "--output", "json", "spectra", str(path))
     doc = json.loads(out)
     assert code == 0
-    assert len(doc["spectra"]) == 6  # deduplicated spanning lines at m=4
+    assert len(doc["spectra"]) == 5  # the lines through the 10 probes at m = 4
     code, out, _ = run(capsys, "--output", "json", "spectra", str(path), "--at", "1,0,0,0")
     doc = json.loads(out)
     jac = doc["spectra"][0]["eigenvalues"]
@@ -395,6 +395,22 @@ def test_reconstruct_complex_mode(tmp_path, capsys):
     )
     assert code == 0
     assert "round-trip relative error" in out
+
+
+@pytest.mark.parametrize("mode", ["jacobi", "complex-jacobi"])
+def test_reconstruct_of_a_model_near_the_float_range(tmp_path, capsys, mode):
+    # the oracle's answers for 4e307 * A overflow at that scale; reconstructed
+    # at scale 2^-e, the written tensor is 4e307 times that of A, all finite
+    path, big, out_path = tmp_path / "fs.json", tmp_path / "fs-big.json", tmp_path / "rec.json"
+    run(capsys, "build", "fubini-study", "--m", "4", "--out", str(path))
+    model = load_model(str(path)).model
+    curvlab.save_model(curvlab.ComplexModel(model.structure, 4e307 * model.tensor), str(big))
+    proc = run_subprocess("reconstruct", str(big), "--mode", mode, "--out", str(out_path))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    rec = load_model(str(out_path)).model.tensor.entries
+    expected = 4e307 * model.tensor.entries
+    assert np.all(np.isfinite(rec))
+    assert np.max(np.abs(rec - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_diff_twistor_phenomenon(tmp_path, capsys):

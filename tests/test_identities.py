@@ -27,6 +27,7 @@ from curvlab import (
     lemma23_battery,
     p2_map,
     pullback,
+    q_quartic,
     random_curvature_tensor,
     random_orthogonal,
     random_unit_vector,
@@ -46,6 +47,7 @@ from helpers import (
     contract,
     identity_defect_loop,
     project_to_constraints,
+    spanning_lines_loop,
     spans_equal,
     subspace_tensor_basis,
 )
@@ -136,6 +138,64 @@ def test_sato_variant1_rejects_varying_q(j4):
 def test_sato_requires_compatibility(j4):
     with pytest.raises(NotCompatibleError):
         check_sato(ComplexModel(j4, random_curvature_tensor(4, seed=14)), 2)
+
+
+def _q_zero_on_earlier_lines(j4):
+    """A compatible m = 4 tensor with Q = 0 on the six lines of the earlier
+    candidate set (e_i, e_i + e_j and e_i + J e_j), drawn from the null space,
+    inside a3, of Q on those lines."""
+    rows = subspace_tensor_basis(["a3"], 4, j4)
+    reps = np.array([line.representative for line in spanning_lines_loop(j4, with_mixed=True)])
+    q_on_lines = np.array([q_quartic(AlgebraicCurvatureTensor(row.reshape(4, 4, 4, 4)), j4, reps) for row in rows]).T
+    _, svals, vh = np.linalg.svd(q_on_lines)
+    null = vh[int(np.sum(svals > 1e-10)) :]
+    assert len(reps) == 6 and len(null) == 6
+    coeffs = null.T @ np.random.default_rng(0).standard_normal(len(null))
+    return AlgebraicCurvatureTensor(_freeze((coeffs @ rows).reshape(4, 4, 4, 4))), reps
+
+
+def test_sato_preconditions_are_exact_on_r_m(j4):
+    # Q is quartic, so its values on the lines do not certify it: this tensor
+    # has Q = 0 on the six earlier lines and Q != 0 elsewhere, and both sato
+    # checks must report a failed precondition, not a failed identity
+    tensor, reps = _q_zero_on_earlier_lines(j4)
+    model = ComplexModel(j4, tensor)
+    assert np.max(np.abs(q_quartic(tensor, j4, reps))) < 1e-12
+    rng = np.random.default_rng(1)
+    assert np.max(np.abs(q_quartic(tensor, j4, np.array([random_unit_vector(4, rng) for _ in range(200)])))) > 0.05
+    assert run_check("compatibility", model).holds
+    for name in ("sato1", "sato2"):
+        rep = run_check(name, model)
+        assert rep.witness[0] == "precondition" and "on R^m" in rep.witness[1]
+        assert np.isnan(rep.worst_residual) and not rep.holds
+    # c is measured exactly, and the gate's residual is in the details
+    for tensor, c in ((build_A0(4) + build_APhi(j4), 4.0), (build_A0(4), 1.0)):
+        rep = run_check("sato1", ComplexModel(j4, tensor))
+        assert rep.holds and abs(rep.details["c"] - c) <= 1e-12
+        assert rep.details["q_residual"] <= 1e-12
+    rep = run_check("sato2", counterexample_model(4))
+    assert rep.holds and abs(rep.details["c"]) <= 1e-12 and rep.details["q_residual"] <= 1e-12
+    # near the float range the gate neither overflows nor passes: Q = 1.6e308 |x|^4
+    rep = run_check("sato2", ComplexModel(j4, 4e307 * (build_A0(4) + build_APhi(j4))))
+    assert rep.witness[0] == "precondition"
+    # verdicts and c do not change under J -> Q J Q^T with the tensor pulled back
+    q = random_orthogonal(4, np.random.default_rng(4))
+    models = [
+        ComplexModel(j4, build_A0(4) + build_APhi(j4)),
+        ComplexModel(j4, build_A0(4)),
+        counterexample_model(4),
+        model,
+    ]
+    for base in models:
+        turned = ComplexModel(
+            validate_complex_structure(q @ base.structure.matrix @ q.T), pullback(q.T, base.tensor)
+        )
+        for name in ("sato1", "sato2"):
+            before, after = run_check(name, base), run_check(name, turned)
+            assert before.holds == after.holds
+            assert (before.witness[0] == "precondition") == (after.witness[0] == "precondition")
+            if before.details is not None:
+                assert abs(before.details["c"] - after.details["c"]) <= 1e-12
 
 
 def test_lemma23_battery_on_counterexample():
@@ -554,3 +614,42 @@ def test_checking_a_second_model_drops_the_first_images():
     assert identities._images["entries"] is second.tensor.entries
     gc.collect()
     assert all(ref() is None for ref in images)
+
+
+def _line_check_models(m):
+    """The gallery models at m, and compatible random tensors with a rotated J."""
+    jm = standard_complex_structure(m)
+    models = [
+        ComplexModel(jm, build_A0(m)),
+        ComplexModel(jm, build_A0(m) + build_APhi(jm)),
+        ComplexModel(jm, random_curvature_tensor(m, seed=m)),
+        counterexample_model(m),
+        twistor_point_model(m)[0],
+    ]
+    for seed in range(3):
+        q = random_orthogonal(m, np.random.default_rng(50 + seed))
+        turned = validate_complex_structure(q @ jm.matrix @ q.T)
+        for tags in (["a3"], ["a2perp"]):
+            a = project_to_constraints(random_curvature_tensor(m, seed=seed), turned, tags)
+            models.append(ComplexModel(turned, a))
+    return models
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_line_verdicts_match_the_earlier_candidate_lines(m, monkeypatch):
+    # the probe lines certify every quadratic line map, so compatibility (2)-(3)
+    # and lemma23 (a)/(c) decide as they did on the larger candidate set with
+    # the e_i + J e_j lines
+    def verdicts(model):
+        # each battery's verdict and the verdict of each of its conditions
+        return [
+            {name: cond.holds for name, cond in rep.details.items() if isinstance(cond, IdentityReport)}
+            | {rep.name: rep.holds}
+            for rep in (check_compatibility(model), lemma23_battery(model))
+        ]
+
+    for model in _line_check_models(m):
+        expected = verdicts(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "spanning_lines", lambda s: spanning_lines_loop(s, with_mixed=True))
+            assert verdicts(model) == expected

@@ -124,8 +124,15 @@ def test_complex_isometry_validation():
 
 def test_spanning_lines_counts():
     assert len(spanning_lines(standard_complex_structure(2))) == 1
-    # m=4 standard structure: 4 + 6 + 6 nominal candidates collapse to 6 planes
-    assert len(spanning_lines(standard_complex_structure(4))) == 6
+    # at the standard J the m (m + 1) / 2 probes share lines: at m = 4 the 10
+    # probes give 5 planes
+    for m, count in ((4, 5), (6, 12), (8, 22), (10, 35), (12, 51)):
+        assert len(spanning_lines(standard_complex_structure(m))) == count
+    # a generic J puts each probe on a line of its own
+    for m in (4, 8, 12):
+        q = random_orthogonal(m, np.random.default_rng(m))
+        rotated = validate_complex_structure(q @ standard_complex_structure(m).matrix @ q.T)
+        assert len(spanning_lines(rotated)) == m * (m + 1) // 2
 
 
 def test_spanning_lines_cached_per_structure():
@@ -141,7 +148,6 @@ def test_spanning_lines_survive_copy_and_pickle():
         assert type(clone) is type(lines) and len(clone) == len(lines)
         np.testing.assert_array_equal(clone.projectors, lines.projectors)
         np.testing.assert_array_equal(clone.probe_index, lines.probe_index)
-        np.testing.assert_array_equal(clone.probed, lines.probed)
         assert all(a.same_line(b) for a, b in zip(clone, lines))
 
 
@@ -172,27 +178,17 @@ def test_spanning_lines_match_loop_oracle(structure):
 
 @pytest.mark.parametrize("structure", [s for _, s in _sweep_structures()], ids=[n for n, _ in _sweep_structures()])
 def test_probe_index_names_the_line_through_each_probe(structure):
-    # probe_index[i, j] names the probed line through e_i + e_j, through e_i at i = j
+    # probe_index[i, j] names the line through e_i + e_j, through e_i at i = j,
+    # and every line is the line of some probe
     m = structure.dim
     eye = np.eye(m)
     lines = spanning_lines(structure)
     assert lines.probe_index.shape == (m, m)
     np.testing.assert_array_equal(lines.probe_index, lines.probe_index.T)
-    np.testing.assert_array_equal(np.unique(lines.probed), lines.probed)
-    assert set(lines.probe_index.ravel().tolist()) == set(range(len(lines.probed)))
+    assert set(lines.probe_index.ravel().tolist()) == set(range(len(lines)))
     for i in range(m):
         for j in range(m):
-            line = lines[lines.probed[lines.probe_index[i, j]]]
-            assert line.same_line(complex_line(eye[i] + eye[j], structure))
-
-
-def test_probed_line_counts():
-    assert len(spanning_lines(standard_complex_structure(6)).probed) == 12
-    assert len(spanning_lines(standard_complex_structure(12)).probed) == 51
-    # a generic J puts each of the m (m + 1) / 2 probes on a line of its own
-    q = random_orthogonal(12, np.random.default_rng(12))
-    rotated = validate_complex_structure(q @ standard_complex_structure(12).matrix @ q.T)
-    assert len(spanning_lines(rotated).probed) == 78
+            assert lines[lines.probe_index[i, j]].same_line(complex_line(eye[i] + eye[j], structure))
 
 
 def test_spanning_lines_cached_per_value_of_j():
