@@ -191,6 +191,18 @@ def test_probe_index_names_the_line_through_each_probe(structure):
             assert lines[lines.probe_index[i, j]].same_line(complex_line(eye[i] + eye[j], structure))
 
 
+def test_probed_line_counts():
+    # the probes fall on 12 lines at m = 6 and 51 at m = 12 for the standard J,
+    # and these are all the spanning lines
+    for m, count in ((6, 12), (12, 51)):
+        lines = spanning_lines(standard_complex_structure(m))
+        assert len(np.unique(lines.probe_index)) == len(lines) == count
+    # a generic J puts each of the m (m + 1) / 2 probes on a line of its own
+    q = random_orthogonal(12, np.random.default_rng(12))
+    rotated = spanning_lines(validate_complex_structure(q @ standard_complex_structure(12).matrix @ q.T))
+    assert len(np.unique(rotated.probe_index)) == len(rotated) == 78
+
+
 def test_spanning_lines_cached_per_value_of_j():
     # models loaded separately validate their own structure objects
     first = validate_complex_structure(standard_complex_structure(6).matrix)
