@@ -97,13 +97,11 @@ def twistor_point_model(m: int) -> tuple[ComplexModel, ComplexIsometry]:
 
 def _oracle_targets(values, m: int) -> np.ndarray:
     """The oracle's m x m answers, raveled and concatenated in query order; all finite."""
-    targets = []
-    for value in values:
-        target = np.asarray(value, dtype=float)
+    targets = [np.asarray(value, dtype=float) for value in values]
+    for target in targets:
         if target.shape != (m, m):
             raise DimensionMismatchError(f"oracle returned shape {target.shape}, expected {(m, m)}")
-        targets.append(target.ravel())
-    rhs = np.concatenate(targets)
+    rhs = np.concatenate(targets, axis=None)
     if not np.isfinite(rhs).all():
         raise InconsistentOracleError("the oracle returned a non-finite answer")
     return rhs
@@ -124,7 +122,7 @@ def _polarized(field: np.ndarray) -> np.ndarray:
     S(y,x,w,z) = A(y,x,w,z) + A(y,w,x,z) and the first Bianchi identity makes Z = A.
     """
     m = field.shape[0]
-    single = field[np.arange(m), np.arange(m)] / 4.0
+    single = field.reshape(m * m, m, m)[:: m + 1] / 4.0  # field[i, i] / 4
     polar = field - single[:, None] - single[None, :]  # polar[i, j][z, y] = S(y, e_i, e_j, z)
     s = polar.transpose(3, 0, 1, 2)
     return (s - s.transpose(1, 0, 2, 3)) / 3.0
@@ -182,7 +180,10 @@ def reconstruct_from_complex_jacobi(
     lines = spanning_lines(oracle.structure)
     rhs = _oracle_targets((oracle.evaluate(line) for line in lines), m)
     field = rhs.reshape(-1, m, m)[lines.probe_index]
-    field *= (2.0 + 2.0 * np.eye(m))[:, :, None, None]  # |e_i + e_j|^2
+    # |e_i + e_j|^2: 2, and 4 on the diagonal; the gather made field a fresh
+    # contiguous array, so the reshape is a view and writes through
+    field *= 2.0
+    field.reshape(m * m, m, m)[:: m + 1] *= 2.0
     z = _polarized(field)
     # J on two slots at once: T(.., J e_b, .., J e_c, ..) is J^T T J over the slot pair
     y = (jmat.T @ z.transpose(0, 3, 1, 2) @ jmat).transpose(0, 2, 3, 1)  # Z(a, Jb, Jc, d)

@@ -42,6 +42,14 @@ def _as_vector(x, m: int) -> np.ndarray:
 
 
 def _check_structure(owner: ComplexStructure, structure: ComplexStructure) -> None:
+    """Raise unless the line's structure matches ``structure`` within 1e-12.
+
+    The same object, or an equal matrix (a model loaded again, a cached
+    sweep), passes on a byte comparison, which costs a fraction of the
+    elementwise check on every per-line call.
+    """
+    if owner is structure or owner.matrix.tobytes() == structure.matrix.tobytes():
+        return
     if owner.matrix.shape != structure.matrix.shape or (
         float(np.max(np.abs(owner.matrix - structure.matrix))) > 1e-12
     ):
@@ -56,7 +64,7 @@ def _jacobi_stack(entries: np.ndarray, forms: np.ndarray) -> np.ndarray:
     matrix at x, and F = y z^T gives M[a, b] = A(e_b, y, z, e_a).
     """
     m = entries.shape[-1]
-    out = np.reshape(forms, (-1, m * m)) @ entries.reshape(*entries.shape[:-4], m, m * m, m)
+    out = forms.reshape(-1, m * m) @ entries.reshape(entries.shape[:-4] + (m, m * m, m))
     # (..., b, l, a) -> (..., l, a, b); np.moveaxis takes ten times as long, a
     # share of every per-line operator call
     return out.swapaxes(-3, -2).swapaxes(-2, -1)

@@ -33,7 +33,7 @@ from curvlab import (
     validate_or_project,
 )
 from curvlab import constructions
-from curvlab.tensors import curvature_space_basis
+from curvlab.tensors import CurvatureBasis, curvature_space_basis
 from helpers import (
     complex_jacobi_min_norm_solve,
     complex_jacobi_subspace_solve,
@@ -357,6 +357,24 @@ def test_complex_reconstruction_equivariance(m):
         lhs = reconstruct_from_complex_jacobi(composed)
         rhs = pullback(q, reconstruct_from_complex_jacobi(base))
         assert (lhs - rhs).norm() < 1e-10
+
+
+def test_m12_paths_never_build_the_dense_basis(monkeypatch):
+    # at m = 12 the dense basis matrix is 271 MB; the projection, the random
+    # builder and both reconstructions work on its nonzeros alone.  A property
+    # is a data descriptor, so it also hides a matrix cached by an earlier test.
+    monkeypatch.setattr(
+        CurvatureBasis, "matrix", property(lambda self: pytest.fail("the dense curvature basis was built"))
+    )
+    m = 12
+    jm = standard_complex_structure(m)
+    tensor = random_curvature_tensor(m, seed=12)
+    np.testing.assert_allclose(validate_or_project(tensor.entries, "project").entries, tensor.entries, atol=1e-14)
+    assert (reconstruct_from_jacobi(JacobiOracle.from_tensor(tensor)) - tensor).norm() < 1e-10
+    fs = build_A0(m) + build_APhi(jm)
+    rec = reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(jm, fs)))
+    assert (rec - fs).norm() < 1e-10
+    reconstruct_from_complex_jacobi(ComplexJacobiOracle.from_model(ComplexModel(jm, tensor)))
 
 
 def test_jacobi_equivalence_self():

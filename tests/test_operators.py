@@ -343,6 +343,26 @@ def test_line_stacks_reject_foreign_lines(j4):
             operator(a, j4, spanning_lines(other))
 
 
+def test_line_structure_check_is_exact_up_to_1e_12():
+    # lines built for an equal structure object pass; a J moved by 2e-12
+    # still fails, for one line and for a sweep
+    a = random_curvature_tensor(6, seed=4)
+    j = standard_complex_structure(6)
+    twin = validate_complex_structure(j.matrix.copy())
+    assert twin is not j
+    lines = spanning_lines(twin)
+    for line in (lines[3], lines):
+        np.testing.assert_array_equal(complex_jacobi(a, j, line).matrix, complex_jacobi(a, twin, line).matrix)
+    moved = j.matrix.copy()
+    moved[0, 1] += 2e-12
+    moved[1, 0] -= 2e-12
+    foreign = validate_complex_structure(moved)
+    for line in (complex_line(np.eye(6)[0], foreign), spanning_lines(foreign)):
+        for operator in (complex_jacobi, complex_curvature_operator, holomorphic_sectional_curvature):
+            with pytest.raises(LineStructureMismatchError):
+                operator(a, j, line)
+
+
 def test_q_quartic_rows_must_match_dimension(j4):
     a = random_curvature_tensor(4, seed=2)
     with pytest.raises(DimensionMismatchError):

@@ -143,6 +143,27 @@ def test_basis_projector_matches_constraint_nullspace(m):
     np.testing.assert_allclose(closed.T @ closed, oracle.T @ oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_sparse_basis_matches_its_dense_rows(m):
+    # the basis is held as (row, col, weight) triples; its projection and
+    # coordinate map are scatter/gather steps over them and must agree with
+    # the dense rows they stand for
+    basis = curvature_space_basis(m)
+    assert basis.count == curvature_space_dim(m)
+    assert basis.rows.shape == basis.cols.shape == basis.weights.shape
+    keys = basis.rows * m**4 + basis.cols
+    assert np.unique(keys).size == keys.size  # no (row, col) pair repeats
+    dense = basis.matrix
+    assert np.count_nonzero(dense) == keys.size
+    rng = np.random.default_rng(m)
+    raw = rng.standard_normal((m,) * 4)
+    once = basis.project(raw).entries
+    np.testing.assert_allclose(once.ravel(), dense.T @ (dense @ raw.ravel()), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(basis.project(once).entries, once, rtol=0, atol=1e-15)
+    coords = rng.standard_normal(basis.count)
+    np.testing.assert_allclose(basis.from_coordinates(coords).entries.ravel(), dense.T @ coords, rtol=0, atol=1e-15)
+
+
 @given(st.integers(0, 10**6))
 def test_projection_idempotent_and_strict(seed):
     rng = np.random.default_rng(seed)
