@@ -77,7 +77,8 @@ def _listed(value):
 
 # J-slot images of the last read-only, unbatched tensor passed to ``arranged``:
 # that tensor and its J (held, so neither id can be reused by another array)
-# and, per ascending tuple S of slots, the image with J on the slots in S.
+# and, per ascending tuple S of slots, the read-only image with J on the slots
+# in S, its axes in slot order.
 _images: dict = {"entries": None, "jmat": None, "by_slots": {}}
 
 
@@ -95,30 +96,54 @@ def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
     return _images["by_slots"]
 
 
-def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None):
-    """(image, order): A with J applied on each slot of ``with_j`` (ascending),
-    and the slot held by each trailing axis of the image.
+def _with_j_on(image: np.ndarray, jmat: np.ndarray, slot: int) -> np.ndarray:
+    """``image`` with J applied on one more slot, its axes still in slot order.
+
+    A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i, so J acts from the right
+    on the last slot and as J^T from the left on any other, with the later
+    slots flattened into one axis.  A leading batch axis is passed through.
+    """
+    if slot == 3:
+        return image @ jmat
+    m = jmat.shape[0]
+    lead = image.shape[: image.ndim - 4 + slot]
+    return (jmat.T @ image.reshape(*lead, m, m ** (3 - slot))).reshape(image.shape)
+
+
+def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None) -> np.ndarray:
+    """A with J applied on each slot of ``with_j`` (ascending), axes in slot order.
 
     Starts from the image on the longest prefix of ``with_j`` found in
     ``memo`` and applies J on the remaining slots one at a time, keeping each
     new image in ``memo``; without a memo only two images are alive at once.
     """
-    batch = entries.ndim - 4
     cached = memo or {}
     done = len(with_j)
     while done and with_j[:done] not in cached:
         done -= 1
-    image, order = cached[with_j[:done]] if done else (entries, (0, 1, 2, 3))
+    image = cached[with_j[:done]] if done else entries
     for n in range(done, len(with_j)):
-        slot = with_j[n]
-        # A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i: the new axis i goes last
-        axis = batch + order.index(slot)
-        image = image.transpose([*range(axis), *range(axis + 1, image.ndim), axis]) @ jmat
-        order = tuple(s for s in order if s != slot) + (slot,)
+        image = _with_j_on(image, jmat, with_j[n])
         if memo is not None:
             image.setflags(write=False)  # callers get views of it
-            memo[with_j[: n + 1]] = (image, order)
-    return image, order
+            memo[with_j[: n + 1]] = image
+    return image
+
+
+def _slots(args: tuple[str, str, str, str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(S, axes) for a slot pattern: the slots carrying J, and per output axis
+    (x, y, z, w) the slot holding its letter, so the pattern's values are the
+    image on S transposed by ``axes``."""
+    with_j = tuple(slot for slot, arg in enumerate(args) if arg.startswith("J"))
+    slot_of = {"xyzw".index(arg[-1]): slot for slot, arg in enumerate(args)}
+    return with_j, tuple(slot_of[axis] for axis in range(4))
+
+
+def _transposed(image: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The view of ``image`` whose output axis k is its slot axes[k]; a leading
+    batch axis stays in front."""
+    batch = image.ndim - 4
+    return np.transpose(image, [*range(batch), *(batch + axis for axis in axes)])
 
 
 def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, str]) -> np.ndarray:
@@ -133,11 +158,8 @@ def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, s
     last slot, and kept until another tensor comes along; the result is then a
     read-only view.  A batched stack gets its images rebuilt on every call.
     """
-    batch = entries.ndim - 4
-    with_j = tuple(slot for slot, arg in enumerate(args) if arg.startswith("J"))
-    image, order = _slot_image(entries, jmat, with_j, _slot_memo(entries, jmat))
-    slot_of = {"xyzw".index(arg[-1]): slot for slot, arg in enumerate(args)}
-    return np.transpose(image, list(range(batch)) + [batch + order.index(slot_of[axis]) for axis in range(4)])
+    with_j, axes = _slots(args)
+    return _transposed(_slot_image(entries, jmat, with_j, _slot_memo(entries, jmat)), axes)
 
 
 _A = ("x", "y", "z", "w")  # the pattern of A itself
@@ -203,16 +225,46 @@ _ROWS: dict[str, tuple[tuple[float, tuple[str, str, str, str]], ...]] = {
 }
 
 
-def _defect(name: str, a: np.ndarray, jmat: np.ndarray) -> np.ndarray:
-    """The signed sum of row ``name`` of ``_ROWS``, on a tensor or a leading-axis stack."""
-    total = np.zeros(a.shape)
+_SLOT_ORDER = (0, 1, 2, 3)  # the axes of an untransposed image
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(name: str) -> tuple[tuple[tuple[int, ...], tuple[tuple[float, tuple[int, ...]], ...]], ...]:
+    """Row ``name`` of ``_ROWS`` as (axes, terms) groups: the terms whose
+    pattern is the image on their J slots transposed by the same ``axes``, as
+    (coefficient, J slots) pairs.  The untransposed group comes first."""
+    groups: dict = {}
     for coef, pattern in _ROWS[name]:
-        # A itself needs no transpose, and a unit coefficient no product
-        term = a if pattern == _A else arranged(a, jmat, pattern)
-        if coef > 0:
-            total += term if coef == 1.0 else coef * term
+        with_j, axes = _slots(pattern)
+        groups.setdefault(axes, []).append((coef, with_j))
+    order = sorted(groups, key=lambda axes: axes != _SLOT_ORDER)
+    return tuple((axes, tuple(groups[axes])) for axes in order)
+
+
+def _defect(name: str, a: np.ndarray, jmat: np.ndarray) -> np.ndarray:
+    """The signed sum of row ``name`` of ``_ROWS``, on a tensor or a leading-axis stack.
+
+    Each group of ``_plan(name)`` is summed on the contiguous J-slot images,
+    then added to the total in one transposed step.
+    """
+    memo = _slot_memo(a, jmat)
+    total = None
+    for axes, terms in _plan(name):
+        group = None
+        for coef, with_j in terms:
+            image = _slot_image(a, jmat, with_j, memo)
+            if group is None:
+                group = coef * image
+            elif coef == 1.0:
+                group += image
+            elif coef == -1.0:
+                group -= image
+            else:
+                group += coef * image
+        if total is None:
+            total = np.ascontiguousarray(_transposed(group, axes))
         else:
-            total -= term if coef == -1.0 else -coef * term
+            total += _transposed(group, axes)
     return total
 
 
@@ -327,25 +379,31 @@ def check_vanhecke(
 
     Only claimed for compatible models, so incompatibility raises before any
     evaluation.  The defect at a pair is D(x, y) = T(x, y, x, y) for the sum T
-    of the ``vanhecke`` row, so with F holding the rows x_n (x) y_n one product
-    gives every pair: D = rowsum((F @ T) * F).  Evaluated on all basis pairs
-    plus ``trials`` seeded random unit pairs.
+    of the ``vanhecke`` row.  On the basis pairs (e_i, e_j) that is the
+    diagonal T(i, j, i, j); with F holding the rows x_n (x) y_n of the
+    ``trials`` seeded random unit pairs, one product gives the rest:
+    D = rowsum((F @ T) * F).
     """
     _require_compatible(model, tol)
     m = model.dim
     a = model.tensor.entries
-    rng = np.random.default_rng(seed)
-    draws = np.array([random_unit_vector(m, rng) for _ in range(2 * trials)]).reshape(trials, 2, m)
-    eye = np.eye(m)
+    defect = _defect("vanhecke", a, model.structure.matrix)
     # the basis pairs (e_i, e_j) in row-major order, then one (x, y) per draw pair
-    x_arr = np.vstack([np.repeat(eye, m, axis=0), draws[:, 0]])
-    y_arr = np.vstack([np.tile(eye, (m, 1)), draws[:, 1]])
-    forms = (x_arr[:, :, None] * y_arr[:, None, :]).reshape(len(x_arr), m * m)
-    defect = _defect("vanhecke", a, model.structure.matrix).reshape(m * m, m * m)
-    residuals = np.abs(np.sum((forms @ defect) * forms, axis=1)) / _scale(a)
+    values = [np.einsum("ijij->ij", defect).ravel()]
+    if trials:
+        rng = np.random.default_rng(seed)
+        draws = np.array([random_unit_vector(m, rng) for _ in range(2 * trials)]).reshape(trials, 2, m)
+        forms = (draws[:, 0, :, None] * draws[:, 1, None, :]).reshape(trials, m * m)
+        values.append(np.sum((forms @ defect.reshape(m * m, m * m)) * forms, axis=1))
+    residuals = np.abs(np.concatenate(values)) / _scale(a)
     worst_at = int(np.argmax(residuals))
-    witness = ("pair", tuple(x_arr[worst_at].tolist()), tuple(y_arr[worst_at].tolist()))
-    return _report("vanhecke", float(residuals[worst_at]), witness, tol, {"pairs": len(x_arr)})
+    if worst_at < m * m:
+        eye = np.eye(m)
+        x, y = eye[worst_at // m], eye[worst_at % m]
+    else:
+        x, y = draws[worst_at - m * m]
+    witness = ("pair", tuple(x.tolist()), tuple(y.tolist()))
+    return _report("vanhecke", float(residuals[worst_at]), witness, tol, {"pairs": m * m + trials})
 
 
 @functools.lru_cache(maxsize=4)

@@ -88,9 +88,10 @@ def symmetry_residuals(entries: np.ndarray) -> dict[str, tuple[float, tuple[int,
     }
     out = {}
     for name, d in defects.items():
-        flat = int(np.argmax(np.abs(d)))
+        magnitudes = np.abs(d)
+        flat = int(np.argmax(magnitudes))
         idx = np.unravel_index(flat, d.shape)
-        out[name] = (float(np.max(np.abs(d))), tuple(int(v) for v in idx))
+        out[name] = (float(magnitudes.flat[flat]), tuple(int(v) for v in idx))
     return out
 
 

@@ -444,26 +444,14 @@ def test_every_report_holds_iff_within_tolerance(kind):
 
 
 def _arranged_patterns():
-    """Every slot pattern the identity table's rows, sato1 and p2_map pass to ``arranged``."""
+    """Every slot pattern of the identity table other than A itself, in row order.
+
+    sato1 and p2_map are built from rows of the table, so they add none."""
     seen = []
-
-    def spy(entries, jmat, args):
-        if args not in seen:
-            seen.append(args)
-        return original(entries, jmat, args)
-
-    original = identities.arranged
-    j4 = standard_complex_structure(4)
-    model = ComplexModel(j4, build_A0(4) + build_APhi(j4))
-    a, jmat = model.tensor.entries, j4.matrix
-    identities.arranged = spy
-    try:
-        for row in identities._ROWS:
-            identities._defect(row, a, jmat)
-        identities._sato1_defect(a, j4, 1.0)
-        p2_map(model)
-    finally:
-        identities.arranged = original
+    for row in identities._ROWS.values():
+        for _, args in row:
+            if args != identities._A and args not in seen:
+                seen.append(args)
     return seen
 
 
@@ -471,7 +459,7 @@ _PATTERNS = _arranged_patterns()
 
 
 def test_arranged_patterns_collected():
-    # 14 from the quadruple rows, sato1 and p2_map; the vanhecke row adds 12
+    # 14 from the quadruple rows; the vanhecke row adds 12
     assert len(_PATTERNS) == 26
 
 
@@ -519,6 +507,44 @@ def test_identity_rows_match_loop_oracle(name):
     expected = np.stack([identity_defect_loop(name, entries, jmat) for entries in stack])
     np.testing.assert_allclose(identities._defect(name, stack, jmat), expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(identities._defect(name, stack[1], jmat), expected[1], rtol=0, atol=1e-12)
+
+
+def test_row_plan_groups_terms_by_transpose():
+    # one transposed add per group: vanhecke has six output transposes, sato2
+    # three, and every constraint row and hop row is summed untransposed
+    groups = {name: len(identities._plan(name)) for name in identities._ROWS}
+    assert groups["vanhecke"] == 6
+    assert groups["sato2"] == 3
+    for name in {*identities._CONSTRAINT_ROWS.values(), "hop-xy", "hop-yz"}:
+        assert groups[name] == 1, name
+    for name, row in identities._ROWS.items():
+        plan = identities._plan(name)
+        assert plan[0][0] == (0, 1, 2, 3)
+        assert sum(len(terms) for _, terms in plan) == len(row)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_j_on_one_slot_matches_loop_oracle(slot):
+    jmat = _rotated_j4()
+    stack = np.random.default_rng(13).standard_normal((2,) + (4,) * 4)
+    expected = _arranged_loop(stack, jmat, _slot_order_pattern((slot,)))
+    np.testing.assert_allclose(identities._with_j_on(stack, jmat, slot), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(identities._with_j_on(stack[1], jmat, slot), expected[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_FORMULAS))
+def test_batched_rows_match_each_tensor(name):
+    # the batched sum (no kept images) against the sum on each read-only
+    # tensor (kept images) and against the row's terms one by one, each
+    # through ``arranged``, which the loop oracle above checks
+    jmat = _freeze(_rotated_j4())
+    stack = np.random.default_rng(14).standard_normal((2,) + (4,) * 4)
+    batched = identities._defect(name, stack, jmat)
+    terms = sum(coef * identities.arranged(stack, jmat, args) for coef, args in identities._ROWS[name])
+    np.testing.assert_allclose(batched, terms, rtol=0, atol=1e-12)
+    for t in range(2):
+        single = identities._defect(name, _freeze(stack[t].copy()), jmat)
+        np.testing.assert_allclose(batched[t], single, rtol=0, atol=1e-12)
 
 
 def _vanhecke_cases():
@@ -585,9 +611,22 @@ def test_vanhecke_row_is_no_constraint(fs_model, j4):
         subspace_dimension(["vanhecke"], 4, j4)
 
 
-def test_shared_slot_images_match_loop_oracle():
+def _slot_order_pattern(with_j):
+    """The pattern whose values are the J-slot image on ``with_j`` itself."""
+    return tuple(("J" if slot in with_j else "") + "xyzw"[slot] for slot in range(4))
+
+
+def test_shared_slot_images_match_loop_oracle(monkeypatch):
     # read-only entries and J, as in a loaded model: every pattern is a view of
     # one shared J-slot image, each slot subset built once
+    built = []
+
+    def counting(image, jmat, slot):
+        built.append(slot)
+        return with_j_on(image, jmat, slot)
+
+    with_j_on = identities._with_j_on
+    monkeypatch.setattr(identities, "_with_j_on", counting)
     jmat = _freeze(_rotated_j4())
     entries = _freeze(np.random.default_rng(11).standard_normal((4,) * 4))
     served = {args: identities.arranged(entries, jmat, args) for args in _PATTERNS}
@@ -598,7 +637,14 @@ def test_shared_slot_images_match_loop_oracle():
         assert np.shares_memory(identities.arranged(entries, jmat, args), values)
     assert identities._images["entries"] is entries
     # the ten slot subsets of the patterns, plus {0, 1, 2} on the way to all four
-    assert len(identities._images["by_slots"]) == 11
+    by_slots = identities._images["by_slots"]
+    assert len(by_slots) == 11
+    assert len(built) == 11
+    for with_j, image in by_slots.items():
+        # each kept image has its axes in slot order
+        assert not image.flags.writeable
+        expected = _arranged_loop(entries[None], jmat, _slot_order_pattern(with_j))[0]
+        np.testing.assert_allclose(image, expected, rtol=0, atol=1e-12)
 
 
 def test_checking_a_second_model_drops_the_first_images():
@@ -606,7 +652,7 @@ def test_checking_a_second_model_drops_the_first_images():
     first = ComplexModel(j4, build_A0(4) + build_APhi(j4))
     for name in CHECKS:
         run_check(name, first)
-    images = [weakref.ref(image) for image, _ in identities._images["by_slots"].values()]
+    images = [weakref.ref(image) for image in identities._images["by_slots"].values()]
     assert images
     second = counterexample_model(4)
     for name in CHECKS:
