@@ -36,7 +36,6 @@ from .tensors import (
     build_A0,
     build_APhi,
     curvature_space_basis,
-    numerical_rank,
     symmetry_residuals,
 )
 
@@ -75,7 +74,7 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-# J-slot images of the last read-only, unbatched tensor passed to ``arranged``:
+# J-slot images of the last read-only tensor passed to ``arranged``:
 # that tensor and its J (held, so neither id can be reused by another array)
 # and, per ascending tuple S of slots, the read-only image with J on the slots
 # in S, its axes in slot order.
@@ -86,10 +85,10 @@ def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
     """The image memo for this tensor, or None when its images must not be kept.
 
     Only read-only arrays (a tensor's frozen entries, a structure's matrix)
-    cannot change between calls; a batched stack is too large to keep.  A new
-    tensor replaces the previous one's images, so at most one set is alive.
+    cannot change between calls.  A new tensor replaces the previous one's
+    images, so at most one set is alive.
     """
-    if entries.ndim != 4 or entries.flags.writeable or jmat.flags.writeable:
+    if entries.flags.writeable or jmat.flags.writeable:
         return None
     if _images["entries"] is not entries or _images["jmat"] is not jmat:
         _images.update(entries=entries, jmat=jmat, by_slots={})
@@ -101,13 +100,12 @@ def _with_j_on(image: np.ndarray, jmat: np.ndarray, slot: int) -> np.ndarray:
 
     A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i, so J acts from the right
     on the last slot and as J^T from the left on any other, with the later
-    slots flattened into one axis.  A leading batch axis is passed through.
+    slots flattened into one axis.
     """
     if slot == 3:
         return image @ jmat
     m = jmat.shape[0]
-    lead = image.shape[: image.ndim - 4 + slot]
-    return (jmat.T @ image.reshape(*lead, m, m ** (3 - slot))).reshape(image.shape)
+    return (jmat.T @ image.reshape(*image.shape[:slot], m, m ** (3 - slot))).reshape(image.shape)
 
 
 def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None) -> np.ndarray:
@@ -139,27 +137,19 @@ def _slots(args: tuple[str, str, str, str]) -> tuple[tuple[int, ...], tuple[int,
     return with_j, tuple(slot_of[axis] for axis in range(4))
 
 
-def _transposed(image: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """The view of ``image`` whose output axis k is its slot axes[k]; a leading
-    batch axis stays in front."""
-    batch = image.ndim - 4
-    return np.transpose(image, [*range(batch), *(batch + axis for axis in axes)])
-
-
 def arranged(entries: np.ndarray, jmat: np.ndarray, args: tuple[str, str, str, str]) -> np.ndarray:
     """Tensor of values A(a1, a2, a3, a4) for a slot pattern such as ("x", "Jz", "w", "Jy").
 
-    Output axes (i, j, k, l) always correspond to (x, y, z, w).  A leading
-    batch axis on ``entries`` is passed through.
+    Output axes (i, j, k, l) always correspond to (x, y, z, w).
 
     Every pattern is a transpose of one J-slot image: ``A`` with ``J`` applied
     on the set S of slots whose argument starts with "J".  For a read-only
-    unbatched tensor each image is built once, from the image on S minus its
-    last slot, and kept until another tensor comes along; the result is then a
-    read-only view.  A batched stack gets its images rebuilt on every call.
+    tensor each image is built once, from the image on S minus its last slot,
+    and kept until another tensor comes along; the result is then a read-only
+    view.
     """
     with_j, axes = _slots(args)
-    return _transposed(_slot_image(entries, jmat, with_j, _slot_memo(entries, jmat)), axes)
+    return _slot_image(entries, jmat, with_j, _slot_memo(entries, jmat)).transpose(axes)
 
 
 _A = ("x", "y", "z", "w")  # the pattern of A itself
@@ -242,7 +232,7 @@ def _plan(name: str) -> tuple[tuple[tuple[int, ...], tuple[tuple[float, tuple[in
 
 
 def _defect(name: str, a: np.ndarray, jmat: np.ndarray) -> np.ndarray:
-    """The signed sum of row ``name`` of ``_ROWS``, on a tensor or a leading-axis stack.
+    """The signed sum of row ``name`` of ``_ROWS`` on a tensor.
 
     Each group of ``_plan(name)`` is summed on the contiguous J-slot images,
     then added to the total in one transposed step.
@@ -262,9 +252,9 @@ def _defect(name: str, a: np.ndarray, jmat: np.ndarray) -> np.ndarray:
             else:
                 group += coef * image
         if total is None:
-            total = np.ascontiguousarray(_transposed(group, axes))
+            total = np.ascontiguousarray(group.transpose(axes))
         else:
-            total += _transposed(group, axes)
+            total += group.transpose(axes)
     return total
 
 
@@ -579,41 +569,67 @@ def run_check(
         return _report(name, float("nan"), ("precondition", str(exc)), tol)
 
 
-# constraint tag -> the row of ``_ROWS`` whose sum cuts out its subspace
-_CONSTRAINT_ROWS = {tag: tag for tag in ("a1", "a2", "a3", "a2perp", "gray-yano")} | {"compatibility": "a3"}
-CONSTRAINT_TAGS = tuple(_CONSTRAINT_ROWS)
+# The curvature tensors split into the four eigenspaces of
+# K' = P_curv (I + J12) / 2, with (J12 A)(x,y,z,w) = A(Jx,Jy,z,w): K' is 1 on
+# a1, 1/3 on a2 minus a1, 0 on a2perp and 1/2 where A(Jx,Jy,Jz,Jw) = -A, the
+# U(n) decomposition of Tricerri and Vanhecke.  Each constraint tag cuts out
+# the sum of the eigenspaces it lists.
+_K_EIGENVALUES = np.array([0.0, 1.0 / 3.0, 0.5, 1.0])
+_CONSTRAINT_EIGENVALUES = {
+    "a1": (1.0,),
+    "a2": (1.0 / 3.0, 1.0),
+    "a3": (0.0, 1.0 / 3.0, 1.0),
+    "a2perp": (0.0,),
+    "gray-yano": (1.0 / 3.0, 0.5, 1.0),
+    "compatibility": (0.0, 1.0 / 3.0, 1.0),
+}
+CONSTRAINT_TAGS = tuple(_CONSTRAINT_EIGENVALUES)
 
-_subspace_cache: dict = {}  # (m, J bytes, tags) -> coordinate basis
+_spectrum_cache: dict = {}  # (m, J bytes) -> eigenvalues and eigenvectors of K'
+
+
+def _k_prime_spectrum(m: int, structure: ComplexStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of K' in curvature-basis coordinates, each rounded to
+    the nearest of 0, 1/3, 1/2 and 1, and its orthonormal eigenvectors as columns.
+
+    An eigenvalue 1/12 or more from all four (halfway between 1/3 and 1/2)
+    raises, as the spectrum is a theorem for every unitary J.
+    """
+    basis = curvature_space_basis(m)
+    k = np.eye(basis.count)  # column ``row`` still holds its unit coordinate when it is read
+    for row in range(basis.count):
+        a = basis.from_coordinates(k[:, row]).entries
+        k[:, row] = basis.coordinates(a + _slot_image(a, structure.matrix, (0, 1), None)) / 2.0
+    values, vectors = np.linalg.eigh(k)
+    nearest = np.argmin(np.abs(values[:, None] - _K_EIGENVALUES), axis=1)
+    off = np.abs(values - _K_EIGENVALUES[nearest])
+    if off.max() >= 1.0 / 12.0:
+        raise EquivalenceViolationError(
+            f"K' has eigenvalue {values[np.argmax(off)]:.6g}, away from 0, 1/3, 1/2 and 1"
+        )
+    return _K_EIGENVALUES[nearest], vectors
 
 
 def subspace_coordinate_basis(
     constraints, m: int, structure: ComplexStructure
 ) -> np.ndarray:
     """Orthonormal rows spanning, in curvature-basis coordinates, the subspace
-    cut out by the listed linear constraint tags.  Cached per (m, J, tags),
-    at most 8 entries, since one entry holds up to count^2 floats."""
+    cut out by the listed linear constraint tags: the eigenvectors of K' whose
+    eigenvalue every tag admits.  One decomposition of K' per (m, J), at most
+    8, serves every tag set."""
     if structure.dim != m:
         raise DimensionMismatchError(f"structure is {structure.dim}-dimensional, expected m={m}")
-    tags = tuple(sorted(set(constraints)))
+    tags = sorted(set(constraints))
     for tag in tags:
-        if tag not in _CONSTRAINT_ROWS:
+        if tag not in _CONSTRAINT_EIGENVALUES:
             raise UnknownConstraintTagError(
                 f"unknown constraint tag {tag!r}; known tags: {', '.join(CONSTRAINT_TAGS)}"
             )
-    return cached_by_j(_subspace_cache, 8, structure, lambda: _constrained_basis(tags, m, structure), tags)
-
-
-def _constrained_basis(tags: tuple[str, ...], m: int, structure: ComplexStructure) -> np.ndarray:
-    basis = curvature_space_basis(m)
-    if not tags:
-        return _freeze(np.eye(basis.count))
-    stacked = basis.tensors  # (count, m, m, m, m); defects broadcast over the batch axis
-    blocks = [_defect(_CONSTRAINT_ROWS[tag], stacked, structure.matrix).reshape(basis.count, -1) for tag in tags]
-    design = np.concatenate(blocks, axis=1).T  # rows: constraint entries, cols: coordinates
-    # design has more rows (m^4 per tag) than columns, so the thin vh is square
-    # and already holds the whole right singular basis
-    _, svals, vh = np.linalg.svd(design, full_matrices=False)
-    return _freeze(vh[numerical_rank(svals):])
+    values, vectors = cached_by_j(_spectrum_cache, 8, structure, lambda: _k_prime_spectrum(m, structure))
+    keep = np.ones(values.size, dtype=bool)
+    for tag in tags:
+        keep &= np.isin(values, _CONSTRAINT_EIGENVALUES[tag])
+    return _freeze(vectors[:, keep].T)
 
 
 def subspace_dimension(constraints, m: int, structure: ComplexStructure) -> int:

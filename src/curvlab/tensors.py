@@ -9,10 +9,8 @@ space of the curvature symmetries, held as its nonzeros (about one entry in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteEntryError, SymmetryViolationError
@@ -24,9 +22,6 @@ from .spaces import (
     _require_orthogonal,
     validate_complex_structure,
 )
-
-RANK_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraicCurvatureTensor:
@@ -170,11 +165,6 @@ def pullback(theta, tensor: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) 
     return AlgebraicCurvatureTensor(_freeze(entries))
 
 
-def numerical_rank(svals: np.ndarray) -> int:
-    """Number of singular values (descending) above RANK_TOL times the largest; 0 for none."""
-    return int(np.sum(svals > RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
-
-
 def curvature_space_dim(m: int) -> int:
     """Dimension m^2 (m^2 - 1) / 12 of the space of curvature tensors."""
     return m * m * (m * m - 1) // 12
@@ -183,7 +173,7 @@ def curvature_space_dim(m: int) -> int:
 @dataclass(frozen=True, eq=False)
 class CurvatureBasis:
     """Orthonormal basis of the space of curvature tensors, as the nonzeros of
-    its (count, m**4) matrix of flattened rows: ``matrix[rows, cols] = weights``,
+    its (count, m**4) matrix M of flattened rows: ``M[rows, cols] = weights``,
     each (row, col) pair once."""
 
     dim: int
@@ -191,19 +181,6 @@ class CurvatureBasis:
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense matrix of orthonormal rows, built on first use; 271 MB at m = 12."""
-        dense = np.zeros((self.count, self.dim**4))
-        dense[self.rows, self.cols] = self.weights
-        dense.setflags(write=False)
-        return dense
-
-    @property
-    def tensors(self) -> np.ndarray:
-        m = self.dim
-        return self.matrix.reshape(self.count, m, m, m, m)
 
     def from_coordinates(self, coords) -> AlgebraicCurvatureTensor:
         coords = np.asarray(coords, dtype=float)
@@ -213,10 +190,13 @@ class CurvatureBasis:
         entries = np.bincount(self.cols, self.weights * coords[self.rows], m**4)
         return AlgebraicCurvatureTensor(_freeze(entries.reshape(m, m, m, m)))
 
-    def project(self, raw) -> AlgebraicCurvatureTensor:
+    def coordinates(self, raw) -> np.ndarray:
+        """Coordinates of the orthogonal projection of an m^4 array onto the space."""
         arr = np.asarray(raw, dtype=float)
-        coords = np.bincount(self.rows, self.weights * arr.ravel()[self.cols], self.count)
-        return self.from_coordinates(coords)
+        return np.bincount(self.rows, self.weights * arr.ravel()[self.cols], self.count)
+
+    def project(self, raw) -> AlgebraicCurvatureTensor:
+        return self.from_coordinates(self.coordinates(raw))
 
 
 # The eight index images of a pair entry (ij, kl) and their signs under
@@ -300,28 +280,12 @@ def curvature_space_basis(m: int) -> CurvatureBasis:
     return CurvatureBasis(m, count, *triples)
 
 
-def random_curvature_tensor(
-    m: int,
-    seed: int,
-    generator_mix: Sequence[AlgebraicCurvatureTensor] | None = None,
-) -> AlgebraicCurvatureTensor:
+def random_curvature_tensor(m: int, seed: int) -> AlgebraicCurvatureTensor:
     """Reproducible random curvature tensor.
 
-    By default the coordinates in the closed-form orthonormal basis of
+    The coordinates in the closed-form orthonormal basis of
     ``curvature_space_basis`` are drawn from a seeded standard normal, an
-    isotropic Gaussian on the space of curvature tensors; with
-    ``generator_mix`` the output is a random linear combination of the
-    supplied generator tensors instead.
+    isotropic Gaussian on the space of curvature tensors.
     """
-    rng = np.random.default_rng(seed)
-    if generator_mix is not None:
-        generators = list(generator_mix)
-        coeffs = rng.standard_normal(len(generators))
-        entries = np.zeros((m,) * 4)
-        for c, gen in zip(coeffs, generators):
-            if gen.dim != m:
-                raise DimensionMismatchError(f"generator dimension {gen.dim} differs from m={m}")
-            entries = entries + c * gen.entries
-        return AlgebraicCurvatureTensor(_freeze(entries))
     basis = curvature_space_basis(m)
-    return basis.from_coordinates(rng.standard_normal(basis.count))
+    return basis.from_coordinates(np.random.default_rng(seed).standard_normal(basis.count))

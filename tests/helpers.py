@@ -1,6 +1,10 @@
 """Brute-force oracles kept independent of the library's einsum code paths."""
 
+import functools
+
 import numpy as np
+
+RANK_TOL = 1e-8
 
 
 def contract(entries, x, y, z, w):
@@ -79,6 +83,68 @@ def constraint_nullspace_basis(m, rank_tol=1e-8):
     return vh[rank:]
 
 
+def numerical_rank(svals):
+    """Number of singular values (descending) above RANK_TOL times the largest; 0 for none."""
+    return int(np.sum(svals > RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
+
+
+@functools.lru_cache(maxsize=None)
+def dense_basis(m):
+    """The closed-form curvature basis as a read-only dense (count, m^4)
+    matrix of flattened orthonormal rows, scattered from its nonzeros."""
+    from curvlab.tensors import curvature_space_basis
+
+    basis = curvature_space_basis(m)
+    dense = np.zeros((basis.count, m**4))
+    dense[basis.rows, basis.cols] = basis.weights
+    dense.setflags(write=False)
+    return dense
+
+
+def basis_tensors(m):
+    """The rows of ``dense_basis(m)`` as a (count, m, m, m, m) stack of tensors."""
+    return dense_basis(m).reshape(-1, m, m, m, m)
+
+
+# constraint tag -> the row of ``identities._ROWS`` whose sum cuts out its subspace
+CONSTRAINT_ROWS = {tag: tag for tag in ("a1", "a2", "a3", "a2perp", "gray-yano")} | {"compatibility": "a3"}
+
+
+@functools.lru_cache(maxsize=32)
+def _constraint_block(row, m, jbytes):
+    """The defects of row ``row`` on each basis tensor, as the (m^4, count)
+    design column by column, compressed to S V^T of its SVD.  The block has
+    the design's Gram matrix, so a stack of blocks has the singular values and
+    right singular vectors of the stack of their designs."""
+    from curvlab.identities import _defect
+
+    jmat = np.frombuffer(jbytes).reshape(m, m).copy()
+    design = np.array([_defect(row, tensor, jmat).ravel() for tensor in basis_tensors(m)]).T
+    _, svals, vh = np.linalg.svd(design, full_matrices=False)
+    return svals[:, None] * vh
+
+
+def constraint_subspace_basis(constraints, m, structure):
+    """Orthonormal rows spanning, in curvature-basis coordinates, the subspace
+    cut out by the listed constraint tags: the nullspace of the design holding
+    each tag's row defects on every basis tensor, by SVD.  A reference for the
+    library's eigendecomposition of K'.
+
+    Unit basis tensors, an orthogonal J and unit coefficients make every
+    nonzero singular value of order 1, so the rank counts those above
+    RANK_TOL itself; relative to the largest, rounding noise in a design that
+    vanishes (m = 2, J rotated up to rounding) would count as rank.
+    """
+    rows = sorted({CONSTRAINT_ROWS[tag] for tag in constraints})
+    count = dense_basis(m).shape[0]
+    if not rows:
+        return np.eye(count)
+    jbytes = structure.matrix.tobytes()
+    design = np.vstack([_constraint_block(row, m, jbytes) for row in rows])
+    _, svals, vh = np.linalg.svd(design, full_matrices=False)
+    return vh[int(np.sum(svals > RANK_TOL)) :]
+
+
 def jacobi_lstsq_solve(oracle):
     """Reconstruct from a Jacobi-operator oracle by least squares over the curvature basis.
 
@@ -94,7 +160,7 @@ def jacobi_lstsq_solve(oracle):
     m = oracle.dim
     basis = curvature_space_basis(m)
     probes = probe_vectors(m)
-    design = _jacobi_stack(basis.tensors, probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
+    design = _jacobi_stack(basis_tensors(m), probes[:, :, None] * probes[:, None, :]).reshape(basis.count, -1).T
     rhs = np.concatenate([np.asarray(oracle.evaluate(x), dtype=float).ravel() for x in probes])
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     return basis.from_coordinates(coeffs)
@@ -102,21 +168,16 @@ def jacobi_lstsq_solve(oracle):
 
 def subspace_tensor_basis(constraints, m, structure):
     """Flattened orthonormal tensors (rows) spanning the constrained subspace."""
-    from curvlab.identities import subspace_coordinate_basis
-    from curvlab.tensors import curvature_space_basis
-
-    coords = subspace_coordinate_basis(constraints, m, structure)
-    return coords @ curvature_space_basis(m).matrix
+    return constraint_subspace_basis(constraints, m, structure) @ dense_basis(m)
 
 
 def project_to_constraints(tensor, structure, constraints):
     """Orthogonal projection of a curvature tensor onto a constrained subspace."""
-    from curvlab.identities import subspace_coordinate_basis
     from curvlab.tensors import curvature_space_basis
 
-    basis = curvature_space_basis(tensor.dim)
-    sub = subspace_coordinate_basis(constraints, tensor.dim, structure)
-    return basis.from_coordinates(sub.T @ (sub @ (basis.matrix @ tensor.entries.ravel())))
+    m = tensor.dim
+    sub = constraint_subspace_basis(constraints, m, structure)
+    return curvature_space_basis(m).from_coordinates(sub.T @ (sub @ (dense_basis(m) @ tensor.entries.ravel())))
 
 
 def complex_jacobi_subspace_solve(oracle):
@@ -127,24 +188,22 @@ def complex_jacobi_subspace_solve(oracle):
     reference for the library's minimum-norm fit over the whole curvature
     space, which must land on the same tensor.
     """
-    from curvlab.identities import subspace_coordinate_basis
     from curvlab.operators import _jacobi_stack
     from curvlab.spaces import spanning_lines
-    from curvlab.tensors import curvature_space_basis, numerical_rank
+    from curvlab.tensors import curvature_space_basis
 
     structure = oracle.structure
     m = structure.dim
-    basis = curvature_space_basis(m)
-    sub = subspace_coordinate_basis(("gray-yano",), m, structure)
+    sub = constraint_subspace_basis(("gray-yano",), m, structure)
     free = sub.shape[0]
     lines = spanning_lines(structure)
-    sub_tensors = (sub @ basis.matrix).reshape(free, m, m, m, m)
+    sub_tensors = (sub @ dense_basis(m)).reshape(free, m, m, m, m)
     design = _jacobi_stack(sub_tensors, np.array([line.projector for line in lines])).reshape(free, -1).T
     rhs = np.concatenate([np.asarray(oracle.evaluate(line), dtype=float).ravel() for line in lines])
     u, svals, vh = np.linalg.svd(design, full_matrices=False)
     assert numerical_rank(svals) == free, "complex Jacobi data do not pin down the subspace tensor"
     coeffs = vh.T @ ((u.T @ rhs) / svals)
-    return basis.from_coordinates(sub.T @ coeffs)
+    return curvature_space_basis(m).from_coordinates(sub.T @ coeffs)
 
 
 def complex_jacobi_min_norm_solve(oracle):
@@ -159,13 +218,13 @@ def complex_jacobi_min_norm_solve(oracle):
     """
     from curvlab.operators import _jacobi_stack
     from curvlab.spaces import spanning_lines
-    from curvlab.tensors import curvature_space_basis, numerical_rank
+    from curvlab.tensors import curvature_space_basis
 
     structure = oracle.structure
     m, n = structure.dim, structure.dim // 2
     basis = curvature_space_basis(m)
     lines = spanning_lines(structure)
-    design = _jacobi_stack(basis.tensors, lines.projectors).reshape(basis.count, -1).T
+    design = _jacobi_stack(basis_tensors(m), lines.projectors).reshape(basis.count, -1).T
     rhs = np.concatenate([np.asarray(oracle.evaluate(line), dtype=float).ravel() for line in lines])
     u, svals, vh = np.linalg.svd(design, full_matrices=False)
     rank = numerical_rank(svals)

@@ -469,6 +469,22 @@ def test_subspace_dim_rejects_structure_of_other_dimension(tmp_path, capsys):
         assert err.startswith("error:") and "m=6" in err
 
 
+def test_subspace_dim_of_structure_valid_at_loose_tolerance(tmp_path, capsys):
+    # J0 moved by a 1e-6 skew matrix passes validation only at --tol 1e-4; the
+    # unitary J it stands for has a 36-dimensional a1 at m = 6.  A rank
+    # threshold of 1e-8 times the largest singular value once counted the
+    # perturbation as rank and printed 0
+    skew = np.random.default_rng(6).standard_normal((6, 6))
+    skew = (skew - skew.T) / np.max(np.abs(skew - skew.T))
+    j = tmp_path / "j6.json"
+    j.write_text(json.dumps({"J": (np.kron(np.eye(3), [[0.0, -1.0], [1.0, 0.0]]) + 1e-6 * skew).tolist()}))
+    code, _, err = run(capsys, "subspace-dim", "--m", "6", "--j", str(j), "--constraints", "a1")
+    assert code == 2 and err.startswith("error:")
+    code, out, _ = run(capsys, "--tol", "1e-4", "subspace-dim", "--m", "6", "--j", str(j), "--constraints", "a1")
+    assert code == 0
+    assert out.strip().splitlines()[-2].strip() == "36"
+
+
 def test_diff_of_models_of_different_dimension_is_usage_error(tmp_path, capsys):
     fs6, a4 = tmp_path / "fs6.json", tmp_path / "a4.json"
     run(capsys, "build", "fubini-study", "--m", "6", "--out", str(fs6))

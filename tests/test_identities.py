@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -44,6 +45,7 @@ from curvlab.identities import CONSTRAINT_TAGS
 from curvlab.spaces import _freeze
 from helpers import (
     IDENTITY_FORMULAS,
+    constraint_subspace_basis,
     contract,
     identity_defect_loop,
     project_to_constraints,
@@ -312,28 +314,40 @@ def test_a2_plus_a2perp_fill_a3():
         assert np.max(np.abs(rows_a2 @ rows_perp.T)) < 1e-10
 
 
-@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("m", [2, 4, 6])
 def test_subspace_dimensions_invariant_under_conjugation(m):
     # Q J Q^T is another complex structure; x -> Q x carries every subspace of
-    # J onto the matching subspace of Q J Q^T, so the dimensions agree
+    # J onto the matching subspace of Q J Q^T, so the dimensions agree.  At
+    # m = 2 a rotation gives J back up to rounding, which a rank threshold
+    # relative to the largest singular value once counted as rank
     jm = standard_complex_structure(m)
     q = random_orthogonal(m, np.random.default_rng(m))
+    if m == 2:
+        q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     conjugated = validate_complex_structure(q @ jm.matrix @ q.T)
+    if m == 2:
+        assert 0.0 < np.max(np.abs(conjugated.matrix - jm.matrix)) < 1e-15
     for tag in CONSTRAINT_TAGS:
         assert subspace_dimension([tag], m, conjugated) == subspace_dimension([tag], m, jm)
 
 
 def test_subspace_cache_is_bounded(monkeypatch):
-    # one entry per (m, J value, tags); a run over many structures keeps at most 8
-    monkeypatch.setattr(identities, "_subspace_cache", {})
+    # one decomposition of K' per (m, J value), shared by every tag set; a run
+    # over many structures keeps at most 8
+    cache = {}
+    monkeypatch.setattr(identities, "_spectrum_cache", cache)
     j4 = standard_complex_structure(4)
     for seed in range(12):
         q = random_orthogonal(4, np.random.default_rng(seed))
         subspace_dimension(["a2perp"], 4, validate_complex_structure(q @ j4.matrix @ q.T))
-    assert len(identities._subspace_cache) == 8
-    first = identities.subspace_coordinate_basis(["a2"], 4, j4)
+    assert len(cache) == 8
+    identities.subspace_coordinate_basis(["a2"], 4, j4)
+    first = cache[(4, j4.matrix.tobytes())]
     again = validate_complex_structure(j4.matrix.copy())
-    assert identities.subspace_coordinate_basis(["a2", "a2"], 4, again) is first
+    for tags in (["a2", "a2"], ["a1", "gray-yano"], []):
+        identities.subspace_coordinate_basis(tags, 4, again)
+    assert len(cache) == 8
+    assert cache[(4, j4.matrix.tobytes())] is first
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])
@@ -345,6 +359,28 @@ def test_gray_yano_is_orthogonal_complement_of_a2perp(m):
     gray = identities.subspace_coordinate_basis(["gray-yano"], m, jm)
     assert np.max(np.abs(gray @ perp.T)) < 1e-12
     assert gray.shape[0] + perp.shape[0] == curvature_space_dim(m)
+
+
+@pytest.mark.parametrize("kind", ["standard", "rotated"])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_constraint_subspaces_match_the_svd_oracle(m, kind):
+    # every tag set's subspace, cut from the eigenspaces of K', against the
+    # nullspace of its constraint design; and the multiplicities of K' at 1
+    # (a1), 1/3 (a2 minus a1), 0 (a2perp) and 1/2 against their closed forms
+    jm = standard_complex_structure(m)
+    if kind == "rotated":
+        q = random_orthogonal(m, np.random.default_rng(40 + m))
+        jm = validate_complex_structure(q @ jm.matrix @ q.T)
+    for r in range(len(CONSTRAINT_TAGS) + 1):
+        for tags in itertools.combinations(CONSTRAINT_TAGS, r):
+            sub = identities.subspace_coordinate_basis(tags, m, jm)
+            oracle = constraint_subspace_basis(tags, m, jm)
+            np.testing.assert_allclose(sub.T @ sub, oracle.T @ oracle, rtol=0, atol=1e-10, err_msg=str(tags))
+    n = m // 2
+    values, _ = identities._k_prime_spectrum(m, jm)
+    a1, a2_rest, perp = (n * (n + 1) // 2) ** 2, (n * (n - 1) // 2) ** 2, n * n * (n * n - 1) // 6
+    counts = [int(np.sum(values == level)) for level in (1.0, 1.0 / 3.0, 0.0, 0.5)]
+    assert counts == [a1, a2_rest, perp, curvature_space_dim(m) - a1 - a2_rest - perp]
 
 
 def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
@@ -488,10 +524,9 @@ def _rotated_j4():
 def test_arranged_matches_loop_oracle(args):
     # the output axes (i, j, k, l) follow (x, y, z, w) whatever slot each letter sits in
     jmat = _rotated_j4()
-    stack = np.random.default_rng(10).standard_normal((2,) + (4,) * 4)
-    expected = _arranged_loop(stack, jmat, args)
-    np.testing.assert_allclose(identities.arranged(stack, jmat, args), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(identities.arranged(stack[1], jmat, args), expected[1], rtol=0, atol=1e-12)
+    entries = np.random.default_rng(10).standard_normal((4,) * 4)
+    expected = _arranged_loop(entries[None], jmat, args)[0]
+    np.testing.assert_allclose(identities.arranged(entries, jmat, args), expected, rtol=0, atol=1e-12)
 
 
 def test_identity_table_matches_the_written_formulas():
@@ -501,12 +536,11 @@ def test_identity_table_matches_the_written_formulas():
 @pytest.mark.parametrize("name", [name for name in IDENTITY_FORMULAS if name != "vanhecke"])
 def test_identity_rows_match_loop_oracle(name):
     # each row's signed sum against its formula written out with plain loops,
-    # on one tensor and on a stack of two, with a rotated J
+    # with a rotated J
     jmat = _rotated_j4()
-    stack = np.random.default_rng(12).standard_normal((2,) + (4,) * 4)
-    expected = np.stack([identity_defect_loop(name, entries, jmat) for entries in stack])
-    np.testing.assert_allclose(identities._defect(name, stack, jmat), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(identities._defect(name, stack[1], jmat), expected[1], rtol=0, atol=1e-12)
+    entries = np.random.default_rng(12).standard_normal((4,) * 4)
+    expected = identity_defect_loop(name, entries, jmat)
+    np.testing.assert_allclose(identities._defect(name, entries, jmat), expected, rtol=0, atol=1e-12)
 
 
 def test_row_plan_groups_terms_by_transpose():
@@ -515,7 +549,7 @@ def test_row_plan_groups_terms_by_transpose():
     groups = {name: len(identities._plan(name)) for name in identities._ROWS}
     assert groups["vanhecke"] == 6
     assert groups["sato2"] == 3
-    for name in {*identities._CONSTRAINT_ROWS.values(), "hop-xy", "hop-yz"}:
+    for name in ("a1", "a2", "a3", "a2perp", "gray-yano", "hop-xy", "hop-yz"):
         assert groups[name] == 1, name
     for name, row in identities._ROWS.items():
         plan = identities._plan(name)
@@ -526,25 +560,9 @@ def test_row_plan_groups_terms_by_transpose():
 @pytest.mark.parametrize("slot", range(4))
 def test_j_on_one_slot_matches_loop_oracle(slot):
     jmat = _rotated_j4()
-    stack = np.random.default_rng(13).standard_normal((2,) + (4,) * 4)
-    expected = _arranged_loop(stack, jmat, _slot_order_pattern((slot,)))
-    np.testing.assert_allclose(identities._with_j_on(stack, jmat, slot), expected, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(identities._with_j_on(stack[1], jmat, slot), expected[1], rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", list(IDENTITY_FORMULAS))
-def test_batched_rows_match_each_tensor(name):
-    # the batched sum (no kept images) against the sum on each read-only
-    # tensor (kept images) and against the row's terms one by one, each
-    # through ``arranged``, which the loop oracle above checks
-    jmat = _freeze(_rotated_j4())
-    stack = np.random.default_rng(14).standard_normal((2,) + (4,) * 4)
-    batched = identities._defect(name, stack, jmat)
-    terms = sum(coef * identities.arranged(stack, jmat, args) for coef, args in identities._ROWS[name])
-    np.testing.assert_allclose(batched, terms, rtol=0, atol=1e-12)
-    for t in range(2):
-        single = identities._defect(name, _freeze(stack[t].copy()), jmat)
-        np.testing.assert_allclose(batched[t], single, rtol=0, atol=1e-12)
+    entries = np.random.default_rng(13).standard_normal((4,) * 4)
+    expected = _arranged_loop(entries[None], jmat, _slot_order_pattern((slot,)))[0]
+    np.testing.assert_allclose(identities._with_j_on(entries, jmat, slot), expected, rtol=0, atol=1e-12)
 
 
 def _vanhecke_cases():

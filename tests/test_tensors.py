@@ -20,7 +20,7 @@ from curvlab import (
     validate_or_project,
 )
 from curvlab.tensors import symmetry_residuals
-from helpers import a_phi_loop, constraint_nullspace_basis, contract
+from helpers import a_phi_loop, basis_tensors, constraint_nullspace_basis, contract, dense_basis
 
 
 def test_a0_canonical_values():
@@ -127,17 +127,17 @@ def test_basis_counts(m, count):
 
 def test_basis_rows_orthonormal_and_valid():
     for m in range(2, 9):
-        basis = curvature_space_basis(m)
-        gram = basis.matrix @ basis.matrix.T
-        np.testing.assert_allclose(gram, np.eye(basis.count), atol=1e-12)
-        for row in basis.tensors:
+        dense = dense_basis(m)
+        gram = dense @ dense.T
+        np.testing.assert_allclose(gram, np.eye(curvature_space_basis(m).count), atol=1e-12)
+        for row in basis_tensors(m):
             for worst, _ in symmetry_residuals(row).values():
                 assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_basis_projector_matches_constraint_nullspace(m):
-    closed = curvature_space_basis(m).matrix
+    closed = dense_basis(m)
     oracle = constraint_nullspace_basis(m)
     assert oracle.shape == closed.shape
     np.testing.assert_allclose(closed.T @ closed, oracle.T @ oracle, atol=1e-12)
@@ -145,18 +145,19 @@ def test_basis_projector_matches_constraint_nullspace(m):
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_sparse_basis_matches_its_dense_rows(m):
-    # the basis is held as (row, col, weight) triples; its projection and
-    # coordinate map are scatter/gather steps over them and must agree with
-    # the dense rows they stand for
+    # the basis is held as (row, col, weight) triples; its coordinates,
+    # projection and coordinate map are scatter/gather steps over them and
+    # must agree with the dense rows they stand for
     basis = curvature_space_basis(m)
     assert basis.count == curvature_space_dim(m)
     assert basis.rows.shape == basis.cols.shape == basis.weights.shape
     keys = basis.rows * m**4 + basis.cols
     assert np.unique(keys).size == keys.size  # no (row, col) pair repeats
-    dense = basis.matrix
+    dense = dense_basis(m)
     assert np.count_nonzero(dense) == keys.size
     rng = np.random.default_rng(m)
     raw = rng.standard_normal((m,) * 4)
+    np.testing.assert_allclose(basis.coordinates(raw), dense @ raw.ravel(), rtol=0, atol=1e-15)
     once = basis.project(raw).entries
     np.testing.assert_allclose(once.ravel(), dense.T @ (dense @ raw.ravel()), rtol=0, atol=1e-15)
     np.testing.assert_allclose(basis.project(once).entries, once, rtol=0, atol=1e-15)
@@ -187,10 +188,3 @@ def test_random_tensor_deterministic_and_valid():
     np.testing.assert_array_equal(a.entries, b.entries)
     validate_or_project(a.entries, "strict")
     assert (a - random_curvature_tensor(4, seed=8)).norm() > 0
-
-
-def test_generator_mix_single_generator():
-    a0 = build_A0(4)
-    mixed = random_curvature_tensor(4, seed=3, generator_mix=[a0])
-    coeff = mixed.entries[0, 1, 1, 0]
-    np.testing.assert_allclose(mixed.entries, coeff * a0.entries, atol=1e-14)
