@@ -56,7 +56,6 @@ from .identities import (
 )
 from .modelio import ModelFile, load_model, save_model
 from .operators import (
-    OperatorMatrix,
     complex_curvature_operator,
     complex_jacobi,
     curvature_operator,

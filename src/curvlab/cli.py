@@ -140,7 +140,7 @@ def _cmd_spectra(args):
     lines_out = []
     if args.at == "sweep":
         lines = spanning_lines(model.structure)
-        ops = complex_jacobi(model.tensor, model.structure, lines).matrix
+        ops = complex_jacobi(model.tensor, model.structure, lines)
         for index, (line, op) in enumerate(zip(lines, ops)):
             spec = merged_spectrum(op, scale=scale)
             spectra.append(

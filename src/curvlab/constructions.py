@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EquivalenceViolationError, InconsistentOracleError, SymmetryViolationError
 from .identities import IdentityReport, check_gray_yano, lemma23_battery
-from .operators import _jacobi_stack, complex_jacobi, jacobi_matrix
+from .operators import _jacobi_stack, complex_jacobi, jacobi
 from .spaces import (
     DEFAULT_TOL,
     ComplexIsometry,
@@ -37,7 +37,15 @@ from .spaces import (
     theta_map,
     validate_complex_isometry,
 )
-from .tensors import AlgebraicCurvatureTensor, ComplexModel, build_A0, build_APhi, pullback, validate_or_project
+from .tensors import (
+    AlgebraicCurvatureTensor,
+    ComplexModel,
+    _slot_image,
+    build_A0,
+    build_APhi,
+    pullback,
+    validate_or_project,
+)
 
 RECONSTRUCTION_TOL = 1e-8
 
@@ -51,7 +59,7 @@ class JacobiOracle:
 
     @classmethod
     def from_tensor(cls, tensor: AlgebraicCurvatureTensor) -> "JacobiOracle":
-        return cls(tensor.dim, lambda x: jacobi_matrix(tensor, x))
+        return cls(tensor.dim, lambda x: jacobi(tensor, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +72,7 @@ class ComplexJacobiOracle:
 
     @classmethod
     def from_model(cls, model: ComplexModel) -> "ComplexJacobiOracle":
-        return cls(
-            model.dim,
-            model.structure,
-            lambda line: complex_jacobi(model.tensor, model.structure, line).matrix,
-        )
+        return cls(model.dim, model.structure, lambda line: complex_jacobi(model.tensor, model.structure, line))
 
 
 def counterexample_model(m: int) -> ComplexModel:
@@ -185,9 +189,8 @@ def reconstruct_from_complex_jacobi(
     field *= 2.0
     field.reshape(m * m, m, m)[:: m + 1] *= 2.0
     z = _polarized(field)
-    # J on two slots at once: T(.., J e_b, .., J e_c, ..) is J^T T J over the slot pair
-    y = (jmat.T @ z.transpose(0, 3, 1, 2) @ jmat).transpose(0, 2, 3, 1)  # Z(a, Jb, Jc, d)
-    j_star = (jmat.T @ y.transpose(1, 2, 0, 3) @ jmat).transpose(2, 0, 1, 3)  # Z(Ja, Jb, Jc, Jd)
+    y = _slot_image(z, jmat, (1, 2), None)  # Z(a, Jb, Jc, d)
+    j_star = _slot_image(y, jmat, (0, 3), None)  # Z(Ja, Jb, Jc, Jd)
     m_z = (y + y.transpose(0, 2, 1, 3) - y.transpose(1, 0, 2, 3) - y.transpose(2, 0, 1, 3)) / 3.0
     fit = validate_or_project((11.0 * z - 6.0 * m_z - j_star) / 8.0, "project")
     fitted = _jacobi_stack(fit.entries, lines.projectors).ravel()
@@ -252,11 +255,11 @@ def discrepancy_audit(m: int = 4, seed: int = 0) -> dict:
     x = rng.standard_normal(m)
     x /= np.linalg.norm(x)
     kx = triple.j2.apply(x)
-    coeff = float(kx @ (jacobi_matrix(counter.tensor, x) @ kx))
+    coeff = float(kx @ (jacobi(counter.tensor, x) @ kx))
 
     twistor, _ = twistor_point_model(m)
     line = complex_line(x, twistor.structure)
-    op = complex_jacobi(twistor.tensor, twistor.structure, line).matrix
+    op = complex_jacobi(twistor.tensor, twistor.structure, line)
     j2x = twistor.structure.apply(x)
     plane_vals = (float(x @ (op @ x)), float(j2x @ (op @ j2x)))
     j1x = triple.j1.apply(x)

@@ -33,6 +33,7 @@ from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, cached_by_j, random_
 from .tensors import (
     AlgebraicCurvatureTensor,
     ComplexModel,
+    _slot_image,
     build_A0,
     build_APhi,
     curvature_space_basis,
@@ -93,39 +94,6 @@ def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
     if _images["entries"] is not entries or _images["jmat"] is not jmat:
         _images.update(entries=entries, jmat=jmat, by_slots={})
     return _images["by_slots"]
-
-
-def _with_j_on(image: np.ndarray, jmat: np.ndarray, slot: int) -> np.ndarray:
-    """``image`` with J applied on one more slot, its axes still in slot order.
-
-    A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i, so J acts from the right
-    on the last slot and as J^T from the left on any other, with the later
-    slots flattened into one axis.
-    """
-    if slot == 3:
-        return image @ jmat
-    m = jmat.shape[0]
-    return (jmat.T @ image.reshape(*image.shape[:slot], m, m ** (3 - slot))).reshape(image.shape)
-
-
-def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None) -> np.ndarray:
-    """A with J applied on each slot of ``with_j`` (ascending), axes in slot order.
-
-    Starts from the image on the longest prefix of ``with_j`` found in
-    ``memo`` and applies J on the remaining slots one at a time, keeping each
-    new image in ``memo``; without a memo only two images are alive at once.
-    """
-    cached = memo or {}
-    done = len(with_j)
-    while done and with_j[:done] not in cached:
-        done -= 1
-    image = cached[with_j[:done]] if done else entries
-    for n in range(done, len(with_j)):
-        image = _with_j_on(image, jmat, with_j[n])
-        if memo is not None:
-            image.setflags(write=False)  # callers get views of it
-            memo[with_j[: n + 1]] = image
-    return image
 
 
 def _slots(args: tuple[str, str, str, str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -338,7 +306,7 @@ def check_compatibility(model: ComplexModel, tol: float = DEFAULT_TOL) -> Identi
     lines = spanning_lines(model.structure)
     results = [_quadruple_report("condition_1", _defect("a3", a, jmat), scale, tol)]
     for cond, operator in ((2, complex_jacobi), (3, complex_curvature_operator)):
-        ops = operator(model.tensor, model.structure, lines).matrix
+        ops = operator(model.tensor, model.structure, lines)
         results.append(_line_report(f"condition_{cond}", lines, ops @ jmat - jmat @ ops, scale, tol))
     return _battery("compatibility", results, tol)
 
@@ -468,8 +436,8 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     jmat = model.structure.matrix
     scale = _scale(a)
     lines = spanning_lines(model.structure)
-    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines).matrix
-    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines).matrix
+    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines)
+    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines)
     conditions = [
         _line_report("a_complex_jacobi_zero", lines, jacobi_ops, scale, tol),
         _quadruple_report("b_pairwise_J_flip", _defect("a2perp", a, jmat), scale, tol),
@@ -480,8 +448,8 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     report = _battery("lemma23", conditions, tol)
     if not report.holds:
         return report
-    rho = float(np.max(np.abs(ricci(model.tensor).matrix))) / scale
-    rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure).matrix))) / scale
+    rho = float(np.max(np.abs(ricci(model.tensor)))) / scale
+    rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure)))) / scale
     compatible = _compatibility_gate(model, tol).holds
     if rho > tol or rho_star > tol or not compatible:
         raise EquivalenceViolationError(

@@ -2,36 +2,21 @@
 
 Jacobi and complex Jacobi operators, curvature operators on planes, the Ricci
 and star-Ricci contractions, holomorphic sectional curvature, and spectrum
-reporting with merged multiplicities.
+reporting with merged multiplicities.  Every operator is returned as its
+m x m matrix, or for a sequence of L lines as the (L, m, m) stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, LineStructureMismatchError, NonFiniteEntryError
 from .spaces import ComplexLine, ComplexStructure, SpanningLines
-from .tensors import AlgebraicCurvatureTensor
+from .tensors import AlgebraicCurvatureTensor, _slot_image
 
 SPECTRUM_MERGE_TOL = 1e-8  # relative to the scale of merged_spectrum
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """m x m matrix of a curvature-derived operator, tagged by its kind.
-
-    The line operators, given a sequence of L lines, hold the (L, m, m) stack.
-    """
-
-    matrix: np.ndarray
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
 
 
 def _as_vector(x, m: int) -> np.ndarray:
@@ -70,14 +55,21 @@ def _jacobi_stack(entries: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return out.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
-def jacobi_matrix(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
-    """Raw matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
+def _curvature_stack(entries: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """M[l, a, b] = sum_ij A(e_i, e_j, e_b, e_a) P[l, i, j] for a stack of forms P.
+
+    The one curvature-operator contraction: the first slot pair of A paired
+    with each form, taken without assuming any symmetry of the tensor.
+    P = x y^T gives <M z, w> = A(x, y, z, w).
+    """
+    m = entries.shape[-1]
+    return (pairs.reshape(-1, m * m) @ entries.reshape(m * m, m * m)).reshape(-1, m, m).swapaxes(1, 2)
+
+
+def jacobi(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
+    """Jacobi matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
     v = _as_vector(x, tensor.dim)
     return _jacobi_stack(tensor.entries, np.outer(v, v))[0]
-
-
-def jacobi(tensor: AlgebraicCurvatureTensor, x) -> OperatorMatrix:
-    return OperatorMatrix(jacobi_matrix(tensor, x), "jacobi")
 
 
 def _line_array(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line, field: str) -> np.ndarray:
@@ -101,7 +93,7 @@ def _line_array(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, l
 
 def complex_jacobi(
     tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
-) -> OperatorMatrix:
+) -> np.ndarray:
     """J(pi) = J(x) + J(Jx) for a unit x of the line pi.
 
     Its matrix is M[a, b] = sum_ij A(e_b, e_i, e_j, e_a) P[i, j] with the line
@@ -110,73 +102,65 @@ def complex_jacobi(
     kernel call.
     """
     mats = _jacobi_stack(tensor.entries, _line_array(tensor, structure, line, "projector"))
-    return OperatorMatrix(mats[0] if isinstance(line, ComplexLine) else mats, "complex_jacobi")
+    return mats[0] if isinstance(line, ComplexLine) else mats
 
 
-def curvature_operator_matrix(tensor: AlgebraicCurvatureTensor, x, y) -> np.ndarray:
-    """Raw matrix M with <M z, w> = A(x, y, z, w); antisymmetric."""
+def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> np.ndarray:
+    """Matrix M with <M z, w> = A(x, y, z, w); antisymmetric."""
     m = tensor.dim
-    pair = np.outer(_as_vector(x, m), _as_vector(y, m)).ravel()
-    return (pair @ tensor.entries.reshape(m * m, m * m)).reshape(m, m).T
-
-
-def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> OperatorMatrix:
-    return OperatorMatrix(curvature_operator_matrix(tensor, x, y), "curvature_op")
+    return _curvature_stack(tensor.entries, np.outer(_as_vector(x, m), _as_vector(y, m)))[0]
 
 
 def complex_curvature_operator(
     tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
-) -> OperatorMatrix:
+) -> np.ndarray:
     """R(pi) = R(x, Jx) for the line's representative x: <R(pi) z, w> = A(x, Jx, z, w).
 
-    Its matrix is one product of the first slot pair of A with x (x) Jx, taken
-    without assuming any symmetry of the tensor.  Rotating the representative
-    inside the line leaves it unchanged because x' wedge Jx' = x wedge Jx.
-    For a sequence of L lines the matrix is the (L, m, m) stack, from one
-    product with the stacked x (x) Jx.
+    Its matrix is the first-pair contraction of A with x (x) Jx.  Rotating the
+    representative inside the line leaves it unchanged because
+    x' wedge Jx' = x wedge Jx.  For a sequence of L lines the matrix is the
+    (L, m, m) stack, from one product with the stacked x (x) Jx.
     """
     m = tensor.dim
     xs = _line_array(tensor, structure, line, "representative").reshape(-1, m)
-    pairs = (xs[:, :, None] * (xs @ structure.matrix.T)[:, None, :]).reshape(-1, m * m)
-    mats = np.swapaxes((pairs @ tensor.entries.reshape(m * m, m * m)).reshape(-1, m, m), 1, 2)
-    return OperatorMatrix(mats[0] if isinstance(line, ComplexLine) else mats, "complex_curvature_op")
+    mats = _curvature_stack(tensor.entries, xs[:, :, None] * (xs @ structure.matrix.T)[:, None, :])
+    return mats[0] if isinstance(line, ComplexLine) else mats
 
 
-def ricci(tensor: AlgebraicCurvatureTensor) -> OperatorMatrix:
+def ricci(tensor: AlgebraicCurvatureTensor) -> np.ndarray:
     """rho[a, b] = sum_i A(e_i, e_a, e_b, e_i); always symmetric."""
-    return OperatorMatrix(np.einsum("iabi->ab", tensor.entries), "ricci")
+    return np.einsum("iabi->ab", tensor.entries)
 
 
-def star_ricci(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) -> OperatorMatrix:
-    """rho*[a, b] = sum_i A(e_a, J e_i, J e_b, e_i).
+def star_ricci(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure) -> np.ndarray:
+    """rho*[a, b] = sum_i A(e_a, J e_i, J e_b, e_i), the trace of A with J on
+    slots 1 and 2 over its second and last slots.
 
     Symmetry is measured, never enforced: it holds on compatible models but
     fails in general.
     """
     if tensor.dim != structure.dim:
         raise DimensionMismatchError(f"dimensions differ: {tensor.dim} vs {structure.dim}")
-    j = structure.matrix
-    mat = np.einsum("apqi,pi,qb->ab", tensor.entries, j, j, optimize=True)
-    return OperatorMatrix(mat, "star_ricci")
+    return np.einsum("aibi->ab", _slot_image(tensor.entries, structure.matrix, (1, 2), None))
 
 
 def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) -> float | np.ndarray:
     """Quartic form Q(v) = A(v, Jv, Jv, v) = v^T J(Jv) v at a not-necessarily-unit vector.
 
-    For an (n, m) array of vectors, one per row, the n values come from one batch.
+    For an (n, m) array of vectors, one per row, the n values come from one batch;
+    one vector is a batch of one.
     """
-    vs = np.asarray(v, dtype=float)
-    if vs.ndim == 2:
-        if vs.shape[1] != tensor.dim or structure.dim != tensor.dim:
-            raise DimensionMismatchError(
-                f"vectors of shape {vs.shape} and a {structure.dim}-dimensional structure "
-                f"do not match dimension {tensor.dim}"
-            )
-        vj = vs @ structure.matrix.T
-        mats = _jacobi_stack(tensor.entries, vj[:, :, None] * vj[:, None, :])  # J(Jv_n)
-        return np.sum(vs * (mats @ vs[:, :, None])[:, :, 0], axis=1)
-    x = _as_vector(v, tensor.dim)
-    return float(x @ jacobi_matrix(tensor, structure.apply(x)) @ x)
+    v = np.asarray(v, dtype=float)
+    vs = v[None] if v.ndim == 1 else v
+    if vs.ndim != 2 or vs.shape[1] != tensor.dim or structure.dim != tensor.dim:
+        raise DimensionMismatchError(
+            f"vectors of shape {v.shape} and a {structure.dim}-dimensional structure "
+            f"do not match dimension {tensor.dim}"
+        )
+    vj = vs @ structure.matrix.T
+    mats = _jacobi_stack(tensor.entries, vj[:, :, None] * vj[:, None, :])  # J(Jv_n)
+    values = np.sum(vs * (mats @ vs[:, :, None])[:, :, 0], axis=1)
+    return float(values[0]) if v.ndim == 1 else values
 
 
 def holomorphic_sectional_curvature(
@@ -203,7 +187,7 @@ def merged_spectrum(
     A non-finite entry, or an eigenvalue beyond the float range, raises
     ``NonFiniteEntryError``.
     """
-    mat = op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=float)
+    mat = np.asarray(op, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise NonFiniteEntryError("operator has a non-finite entry")
     largest, e = math.frexp(float(np.max(np.abs(mat))))

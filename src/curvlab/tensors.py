@@ -34,7 +34,12 @@ class AlgebraicCurvatureTensor:
         return self.entries.shape[0]
 
     def evaluate(self, x, y, z, w) -> float:
-        return float(np.einsum("ijkl,i,j,k,l->", self.entries, x, y, z, w, optimize=True))
+        vecs = [np.asarray(v, dtype=float) for v in (x, y, z, w)]
+        if any(v.shape != (self.dim,) for v in vecs):
+            raise DimensionMismatchError(
+                f"vectors of shapes {[v.shape for v in vecs]} do not match dimension {self.dim}"
+            )
+        return float(np.einsum("ijkl,i,j,k,l->", self.entries, *vecs))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -71,6 +76,41 @@ class ComplexModel:
     @property
     def dim(self) -> int:
         return self.structure.dim
+
+
+def _with_j_on(image: np.ndarray, jmat: np.ndarray, slot: int) -> np.ndarray:
+    """``image`` with the m x m matrix J applied on one more slot, its axes
+    still in slot order.
+
+    A(.., J v, ..) = sum_p A(.., e_p, ..) J[p, i] v_i, so J acts from the right
+    on the last slot and as J^T from the left on any other, with the later
+    slots flattened into one axis.  The library applies a matrix to a tensor
+    slot nowhere else.
+    """
+    if slot == 3:
+        return image @ jmat
+    m = jmat.shape[0]
+    return (jmat.T @ image.reshape(*image.shape[:slot], m, m ** (3 - slot))).reshape(image.shape)
+
+
+def _slot_image(entries: np.ndarray, jmat: np.ndarray, with_j: tuple[int, ...], memo: dict | None) -> np.ndarray:
+    """A with J applied on each slot of ``with_j`` (ascending), axes in slot order.
+
+    Starts from the image on the longest prefix of ``with_j`` found in
+    ``memo`` and applies J on the remaining slots one at a time, keeping each
+    new image in ``memo``; without a memo only two images are alive at once.
+    """
+    cached = memo or {}
+    done = len(with_j)
+    while done and with_j[:done] not in cached:
+        done -= 1
+    image = cached[with_j[:done]] if done else entries
+    for n in range(done, len(with_j)):
+        image = _with_j_on(image, jmat, with_j[n])
+        if memo is not None:
+            image.setflags(write=False)  # callers get views of it
+            memo[with_j[: n + 1]] = image
+    return image
 
 
 def symmetry_residuals(entries: np.ndarray) -> dict[str, tuple[float, tuple[int, int, int, int]]]:
@@ -161,8 +201,7 @@ def pullback(theta, tensor: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) 
             f"map of shape {mat.shape} cannot pull back a {tensor.dim}-dimensional tensor"
         )
     _require_orthogonal(mat, "theta", tol)
-    entries = np.einsum("abcd,ai,bj,ck,dl->ijkl", tensor.entries, mat, mat, mat, mat, optimize=True)
-    return AlgebraicCurvatureTensor(_freeze(entries))
+    return AlgebraicCurvatureTensor(_freeze(_slot_image(tensor.entries, mat, (0, 1, 2, 3), None)))
 
 
 def curvature_space_dim(m: int) -> int:

@@ -57,8 +57,8 @@ def test_c02_counterexample_realization(m):
     report = lemma23_battery(model, tol=1e-12)
     assert report.holds
     assert report.worst_residual < 1e-12
-    rho = float(np.max(np.abs(ricci(model.tensor).matrix)))
-    rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure).matrix)))
+    rho = float(np.max(np.abs(ricci(model.tensor))))
+    rho_star = float(np.max(np.abs(star_ricci(model.tensor, model.structure))))
     assert rho < 1e-12 and rho_star < 1e-12
     print(
         f"criterion 02 PASS (m={m}): |A|^2 = {norm_sq}, battery residual "
@@ -78,12 +78,12 @@ def test_c03_twistor_realization():
     worst_j = worst_r = 0.0
     for line in spanning_lines(model.structure):
         dj = (
-            complex_jacobi(pulled, model.structure, line).matrix
-            - complex_jacobi(model.tensor, model.structure, line).matrix
+            complex_jacobi(pulled, model.structure, line)
+            - complex_jacobi(model.tensor, model.structure, line)
         )
         dr = (
-            complex_curvature_operator(pulled, model.structure, line).matrix
-            - complex_curvature_operator(model.tensor, model.structure, line).matrix
+            complex_curvature_operator(pulled, model.structure, line)
+            - complex_curvature_operator(model.tensor, model.structure, line)
         )
         worst_j = max(worst_j, float(np.max(np.abs(dj))))
         worst_r = max(worst_r, float(np.max(np.abs(dr))))

@@ -40,6 +40,7 @@ from curvlab import (
     validate_complex_structure,
 )
 from curvlab import identities
+from curvlab import tensors as tensor_layer
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
 from curvlab.spaces import _freeze
@@ -562,7 +563,7 @@ def test_j_on_one_slot_matches_loop_oracle(slot):
     jmat = _rotated_j4()
     entries = np.random.default_rng(13).standard_normal((4,) * 4)
     expected = _arranged_loop(entries[None], jmat, _slot_order_pattern((slot,)))[0]
-    np.testing.assert_allclose(identities._with_j_on(entries, jmat, slot), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tensor_layer._with_j_on(entries, jmat, slot), expected, rtol=0, atol=1e-12)
 
 
 def _vanhecke_cases():
@@ -643,8 +644,8 @@ def test_shared_slot_images_match_loop_oracle(monkeypatch):
         built.append(slot)
         return with_j_on(image, jmat, slot)
 
-    with_j_on = identities._with_j_on
-    monkeypatch.setattr(identities, "_with_j_on", counting)
+    with_j_on = tensor_layer._with_j_on
+    monkeypatch.setattr(tensor_layer, "_with_j_on", counting)
     jmat = _freeze(_rotated_j4())
     entries = _freeze(np.random.default_rng(11).standard_normal((4,) * 4))
     served = {args: identities.arranged(entries, jmat, args) for args in _PATTERNS}

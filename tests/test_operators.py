@@ -40,20 +40,20 @@ def j4():
 def test_jacobi_matches_loop_oracle(j4):
     a = random_curvature_tensor(4, seed=1)
     x = random_unit_vector(4, np.random.default_rng(2))
-    np.testing.assert_allclose(jacobi(a, x).matrix, jacobi_loop(a.entries, x), atol=1e-12)
+    np.testing.assert_allclose(jacobi(a, x), jacobi_loop(a.entries, x), atol=1e-12)
 
 
 def test_jacobi_of_a0_is_projection_complement():
     a0 = build_A0(4)
     x = random_unit_vector(4, np.random.default_rng(0))
     expected = np.eye(4) - np.outer(x, x)
-    np.testing.assert_allclose(jacobi(a0, x).matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(jacobi(a0, x), expected, atol=1e-12)
 
 
 def test_jacobi_fubini_study_eigenvalues(j4):
     a = build_A0(4) + build_APhi(j4)
     x = np.eye(4)[0]
-    mat = jacobi(a, x).matrix
+    mat = jacobi(a, x)
     vals = np.linalg.eigvalsh(mat)
     np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 4.0], atol=1e-12)
     # eigenvector structure: 0 on x, 4 on Jx
@@ -64,23 +64,23 @@ def test_jacobi_fubini_study_eigenvalues(j4):
 
 def test_jacobi_at_zero_vector():
     a = random_curvature_tensor(4, seed=4)
-    np.testing.assert_array_equal(jacobi(a, np.zeros(4)).matrix, np.zeros((4, 4)))
+    np.testing.assert_array_equal(jacobi(a, np.zeros(4)), np.zeros((4, 4)))
 
 
 @given(st.integers(0, 10**6), st.floats(-3.0, 3.0))
 def test_jacobi_symmetric_annihilating_quadratic(seed, lam):
     a = random_curvature_tensor(4, seed=seed % 50)
     x = random_unit_vector(4, np.random.default_rng(seed))
-    mat = jacobi(a, x).matrix
+    mat = jacobi(a, x)
     np.testing.assert_allclose(mat, mat.T, atol=1e-10)
     np.testing.assert_allclose(mat @ x, np.zeros(4), atol=1e-10)
-    np.testing.assert_allclose(jacobi(a, lam * x).matrix, lam * lam * mat, atol=1e-9)
+    np.testing.assert_allclose(jacobi(a, lam * x), lam * lam * mat, atol=1e-9)
 
 
 def test_complex_jacobi_of_a0(j4):
     a0 = build_A0(4)
     for line in spanning_lines(j4):
-        mat = complex_jacobi(a0, j4, line).matrix
+        mat = complex_jacobi(a0, j4, line)
         expected = 2.0 * np.eye(4) - line.projector
         np.testing.assert_allclose(mat, expected, atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_complex_jacobi_of_a0(j4):
 def test_complex_jacobi_vanishes_on_counterexample():
     model = counterexample_model(4)
     for line in spanning_lines(model.structure):
-        assert np.max(np.abs(complex_jacobi(model.tensor, model.structure, line).matrix)) < 1e-14
+        assert np.max(np.abs(complex_jacobi(model.tensor, model.structure, line))) < 1e-14
 
 
 def test_complex_jacobi_representative_invariance(j4):
@@ -102,8 +102,8 @@ def test_complex_jacobi_representative_invariance(j4):
             rotated = np.cos(t) * x + np.sin(t) * j4.apply(x)
             other = complex_line(rotated, j4)
             np.testing.assert_allclose(
-                operator(a, j4, line).matrix,
-                operator(a, j4, other).matrix,
+                operator(a, j4, line),
+                operator(a, j4, other),
                 atol=1e-12,
             )
 
@@ -128,7 +128,7 @@ def test_complex_curvature_operator_matches_loop(j4):
     entries = np.random.default_rng(9).standard_normal((4,) * 4)
     line = complex_line(random_unit_vector(4, np.random.default_rng(10)), j4)
     x = line.representative
-    mat = complex_curvature_operator(AlgebraicCurvatureTensor(entries), j4, line).matrix
+    mat = complex_curvature_operator(AlgebraicCurvatureTensor(entries), j4, line)
     eye = np.eye(4)
     expected = [[contract(entries, x, j4.apply(x), eye[b], eye[a]) for b in range(4)] for a in range(4)]
     np.testing.assert_allclose(mat, expected, atol=1e-12)
@@ -151,7 +151,7 @@ def test_curvature_operator_of_a0():
     y = rng.standard_normal(4)
     z = rng.standard_normal(4)
     expected = (y @ z) * x - (x @ z) * y
-    np.testing.assert_allclose(curvature_operator(a0, x, y).matrix @ z, expected, atol=1e-12)
+    np.testing.assert_allclose(curvature_operator(a0, x, y) @ z, expected, atol=1e-12)
 
 
 def test_curvature_operator_antisymmetries():
@@ -159,10 +159,10 @@ def test_curvature_operator_antisymmetries():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(4)
     y = rng.standard_normal(4)
-    mat = curvature_operator(a, x, y).matrix
+    mat = curvature_operator(a, x, y)
     np.testing.assert_allclose(mat, -mat.T, atol=1e-10)
-    np.testing.assert_allclose(curvature_operator(a, y, x).matrix, -mat, atol=1e-10)
-    assert np.max(np.abs(curvature_operator(a, x, x).matrix)) < 1e-10
+    np.testing.assert_allclose(curvature_operator(a, y, x), -mat, atol=1e-10)
+    assert np.max(np.abs(curvature_operator(a, x, x))) < 1e-10
 
 
 def test_complex_curvature_operator_value(j4):
@@ -170,7 +170,7 @@ def test_complex_curvature_operator_value(j4):
     a = build_A0(4) + build_APhi(j4)
     x = random_unit_vector(4, np.random.default_rng(1))
     line = complex_line(x, j4)
-    op = complex_curvature_operator(a, j4, line).matrix
+    op = complex_curvature_operator(a, j4, line)
     jx = j4.apply(line.representative)
     assert abs(float(line.representative @ (op @ jx)) - 4.0) < 1e-12
 
@@ -185,7 +185,7 @@ def test_complex_curvature_operator_a0_formula(j4):
     z = rng.standard_normal(4)
     expected = (jx @ z) * x - (x @ z) * jx
     np.testing.assert_allclose(
-        complex_curvature_operator(a0, j4, line).matrix @ z, expected, atol=1e-12
+        complex_curvature_operator(a0, j4, line) @ z, expected, atol=1e-12
     )
 
 
@@ -193,23 +193,23 @@ def test_ricci_of_a0_and_traces(j4):
     for m in (4, 6):
         a0 = build_A0(m)
         jm = standard_complex_structure(m)
-        rho = ricci(a0).matrix
+        rho = ricci(a0)
         np.testing.assert_allclose(rho, (m - 1) * np.eye(m), atol=1e-12)
         assert float(np.trace(rho)) == pytest.approx(m * (m - 1))
         # rho*[a, b] = <J e_a, J e_b> for A0, so its trace is m
-        assert float(np.trace(star_ricci(a0, jm).matrix)) == pytest.approx(m)
+        assert float(np.trace(star_ricci(a0, jm))) == pytest.approx(m)
 
 
 def test_ricci_of_counterexample_vanishes():
     model = counterexample_model(4)
-    assert np.max(np.abs(ricci(model.tensor).matrix)) == 0.0
-    assert np.max(np.abs(star_ricci(model.tensor, model.structure).matrix)) == 0.0
+    assert np.max(np.abs(ricci(model.tensor))) == 0.0
+    assert np.max(np.abs(star_ricci(model.tensor, model.structure))) == 0.0
 
 
 def test_ricci_of_zero_tensor(j4):
     zero = 0.0 * build_A0(4)
-    assert np.max(np.abs(ricci(zero).matrix)) == 0.0
-    assert np.max(np.abs(star_ricci(zero, j4).matrix)) == 0.0
+    assert np.max(np.abs(ricci(zero))) == 0.0
+    assert np.max(np.abs(star_ricci(zero, j4))) == 0.0
 
 
 def test_twice_ricci_equals_line_sum(j4):
@@ -218,19 +218,50 @@ def test_twice_ricci_equals_line_sum(j4):
     eye = np.eye(4)
     total = np.zeros((4, 4))
     for i in range(4):
-        total += jacobi(a, eye[i]).matrix + jacobi(a, j4.apply(eye[i])).matrix
-    np.testing.assert_allclose(total, 2.0 * ricci(a).matrix, atol=1e-10)
+        total += jacobi(a, eye[i]) + jacobi(a, j4.apply(eye[i]))
+    np.testing.assert_allclose(total, 2.0 * ricci(a), atol=1e-10)
+
+
+def test_star_ricci_matches_loop_oracle():
+    # rho*[a, b] = sum_i A(e_a, J e_i, J e_b, e_i) entry by entry, at a rotated J
+    q = random_orthogonal(4, np.random.default_rng(31))
+    structure = validate_complex_structure(q @ standard_complex_structure(4).matrix @ q.T)
+    a = random_curvature_tensor(4, seed=31)
+    eye, jmat = np.eye(4), structure.matrix
+    expected = [
+        [sum(contract(a.entries, eye[r], jmat @ eye[i], jmat @ eye[c], eye[i]) for i in range(4)) for c in range(4)]
+        for r in range(4)
+    ]
+    np.testing.assert_allclose(star_ricci(a, structure), expected, rtol=0, atol=1e-12)
+
+
+def test_operators_return_arrays(j4):
+    a = random_curvature_tensor(4, seed=32)
+    x, y = np.eye(4)[0], np.eye(4)[1]
+    line = complex_line(x, j4)
+    for op in (
+        jacobi(a, x),
+        complex_jacobi(a, j4, line),
+        curvature_operator(a, x, y),
+        complex_curvature_operator(a, j4, line),
+        ricci(a),
+        star_ricci(a, j4),
+    ):
+        assert type(op) is np.ndarray and op.shape == (4, 4)
+    lines = spanning_lines(j4)
+    for stack in (complex_jacobi(a, j4, lines), complex_curvature_operator(a, j4, lines)):
+        assert type(stack) is np.ndarray and stack.shape == (len(lines), 4, 4)
 
 
 def test_star_ricci_not_symmetric_in_general(j4):
     a = random_curvature_tensor(4, seed=21)
-    mat = star_ricci(a, j4).matrix
+    mat = star_ricci(a, j4)
     assert np.max(np.abs(mat - mat.T)) > 1e-6
 
 
 def test_star_ricci_symmetric_on_compatible(j4):
     a = project_to_constraints(random_curvature_tensor(4, seed=22), j4, ["a3"])
-    mat = star_ricci(a, j4).matrix
+    mat = star_ricci(a, j4)
     assert np.max(np.abs(mat - mat.T)) < 1e-10
 
 
@@ -253,7 +284,7 @@ def test_merged_spectrum_scales_exactly(j4, k):
     # the merge tolerance is relative to max|M|, so a power-of-two scale of the
     # operator alone scales every merged eigenvalue by the same power exactly,
     # far outside [1e-8, 1e8]
-    mat = complex_jacobi(build_A0(4) + build_APhi(j4), j4, spanning_lines(j4)[1]).matrix
+    mat = complex_jacobi(build_A0(4) + build_APhi(j4), j4, spanning_lines(j4)[1])
     plain = merged_spectrum(mat)
     assert [mult for _, mult in plain] == [2, 2]
     scaled = merged_spectrum(2.0**k * mat)
@@ -293,27 +324,26 @@ def test_line_stacks_match_per_line_operators(m, symmetric):
     jacobi_ops = complex_jacobi(tensor, structure, lines)
     curvature_ops = complex_curvature_operator(tensor, structure, lines)
     q_values = holomorphic_sectional_curvature(tensor, structure, lines)
-    assert jacobi_ops.matrix.shape == curvature_ops.matrix.shape == (len(lines), m, m)
-    assert jacobi_ops.dim == curvature_ops.dim == m
+    assert jacobi_ops.shape == curvature_ops.shape == (len(lines), m, m)
     assert q_values.shape == (len(lines),)
     reps = np.array([line.representative for line in lines])
     np.testing.assert_array_equal(q_quartic(tensor, structure, reps), q_values)
     for index, line in enumerate(lines):
         x = line.representative
         np.testing.assert_allclose(
-            jacobi_ops.matrix[index], complex_jacobi(tensor, structure, line).matrix, rtol=0, atol=1e-12
+            jacobi_ops[index], complex_jacobi(tensor, structure, line), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            jacobi_ops.matrix[index],
-            jacobi(tensor, x).matrix + jacobi(tensor, structure.apply(x)).matrix,
+            jacobi_ops[index],
+            jacobi(tensor, x) + jacobi(tensor, structure.apply(x)),
             rtol=0,
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            curvature_ops.matrix[index], complex_curvature_operator(tensor, structure, line).matrix, rtol=0, atol=1e-12
+            curvature_ops[index], complex_curvature_operator(tensor, structure, line), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            curvature_ops.matrix[index], curvature_operator(tensor, x, structure.apply(x)).matrix, rtol=0, atol=1e-12
+            curvature_ops[index], curvature_operator(tensor, x, structure.apply(x)), rtol=0, atol=1e-12
         )
         assert abs(q_values[index] - q_quartic(tensor, structure, x)) <= 1e-12
 
@@ -328,7 +358,7 @@ def test_sweep_stacks_serve_the_line_operators(j4):
     np.testing.assert_array_equal(lines.projectors, [line.projector for line in lines])
     assert type(lines[1:]) is tuple
     for operator in (complex_jacobi, complex_curvature_operator):
-        np.testing.assert_array_equal(operator(a, j4, lines).matrix, operator(a, j4, tuple(lines)).matrix)
+        np.testing.assert_array_equal(operator(a, j4, lines), operator(a, j4, tuple(lines)))
     np.testing.assert_array_equal(
         holomorphic_sectional_curvature(a, j4, lines), holomorphic_sectional_curvature(a, j4, tuple(lines))
     )
@@ -352,7 +382,7 @@ def test_line_structure_check_is_exact_up_to_1e_12():
     assert twin is not j
     lines = spanning_lines(twin)
     for line in (lines[3], lines):
-        np.testing.assert_array_equal(complex_jacobi(a, j, line).matrix, complex_jacobi(a, twin, line).matrix)
+        np.testing.assert_array_equal(complex_jacobi(a, j, line), complex_jacobi(a, twin, line))
     moved = j.matrix.copy()
     moved[0, 1] += 2e-12
     moved[1, 0] -= 2e-12
@@ -364,8 +394,11 @@ def test_line_structure_check_is_exact_up_to_1e_12():
 
 
 def test_q_quartic_rows_must_match_dimension(j4):
+    # one vector is a batch of one, so it meets the same dimension checks
     a = random_curvature_tensor(4, seed=2)
-    with pytest.raises(DimensionMismatchError):
-        q_quartic(a, j4, np.ones((3, 6)))
-    with pytest.raises(DimensionMismatchError):
-        q_quartic(a, standard_complex_structure(6), np.ones((3, 4)))
+    for vectors in (np.ones((3, 6)), np.ones(6)):
+        with pytest.raises(DimensionMismatchError):
+            q_quartic(a, j4, vectors)
+    for vectors in (np.ones((3, 4)), np.ones(4)):
+        with pytest.raises(DimensionMismatchError):
+            q_quartic(a, standard_complex_structure(6), vectors)

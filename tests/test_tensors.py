@@ -30,6 +30,15 @@ def test_a0_canonical_values():
     assert a0.evaluate(eye[0], eye[1], eye[2], eye[3]) == 0.0
 
 
+def test_evaluate_matches_loop_oracle_and_rejects_other_dimensions():
+    a = random_curvature_tensor(4, seed=8)
+    x, y, z, w = np.random.default_rng(8).standard_normal((4, 4))
+    assert a.evaluate(x, y, z, w) == pytest.approx(contract(a.entries, x, y, z, w), rel=1e-12, abs=1e-12)
+    for args in ((x, y, z, np.ones(5)), (np.ones(3), y, z, w), (x, y, np.ones((4, 1)), w)):
+        with pytest.raises(DimensionMismatchError):
+            a.evaluate(*args)
+
+
 def test_a0_strict_validates():
     a0 = build_A0(4)
     validate_or_project(a0.entries, "strict")
@@ -88,6 +97,17 @@ def test_pullback_preserves_inner_product(seed):
     b = random_curvature_tensor(4, seed=seed + 1)
     lhs = tensor_inner_product(pullback(theta, a), pullback(theta, b))
     assert lhs == pytest.approx(tensor_inner_product(a, b), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_pullback_matches_loop_oracle(m):
+    # (theta*A)(e_i, e_j, e_k, e_l) = A(theta e_i, theta e_j, theta e_k, theta e_l)
+    theta = random_orthogonal(m, np.random.default_rng(40 + m))
+    a = random_curvature_tensor(m, seed=m)
+    pulled = pullback(theta, a).entries
+    for i, j, k, l in np.ndindex((m,) * 4):
+        expected = contract(a.entries, theta[:, i], theta[:, j], theta[:, k], theta[:, l])
+        assert abs(pulled[i, j, k, l] - expected) <= 1e-12, (i, j, k, l)
 
 
 def test_pullback_identity_and_a0_invariance():
