@@ -47,7 +47,6 @@ def main() -> int:
     run(
         "check", str(out / "fubini_study.json"),
         "compatibility", "vanhecke", "sato1", "gray-classify", "gray-yano",
-        "--samples", "25",
     )
     print("\n-- Kaehler model: recovered from its Jacobi and from its complex Jacobi operators --")
     for mode in ("jacobi", "complex-jacobi"):

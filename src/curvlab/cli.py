@@ -3,8 +3,9 @@ reconstruct tensors from Jacobi data, diff models through an isometry, and
 compute constrained subspace dimensions.
 
 Exit codes: 0 every requested check holds, 1 a check failed, 2 input or usage
-error or a closed standard output.  All randomness is seeded, so reports are
-deterministic given the input file, --seed and --tol.
+error or a closed standard output.  Every check evaluates its certifying set
+exactly, so reports are deterministic given the input file and --tol; --seed
+seeds ``build random`` alone.
 """
 
 from __future__ import annotations
@@ -105,9 +106,7 @@ def _cmd_build(args):
 
 def _cmd_check(args):
     loaded = load_model(args.model, tol=args.tol)
-    reports = [
-        run_check(name, loaded.model, args.tol, args.seed, args.samples) for name in args.identities
-    ]
+    reports = [run_check(name, loaded.model, args.tol) for name in args.identities]
     status = 0 if all(r.holds for r in reports) else 1
     return f"check {args.model} " + " ".join(args.identities), reports, status, {}
 
@@ -247,18 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=positive_finite_float, default=_env_tol(),
         help=f"residual tolerance (default: $CURVLAB_TOL, else {DEFAULT_TOL:g})",
     )
-    parser.add_argument("--seed", type=non_negative_int, default=0, help="seed for random spot checks")
-    parser.add_argument(
-        "--samples", type=non_negative_int, default=0,
-        help="extra random spot checks beyond the certifying sets",
-    )
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="seed of build random")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     # The same flags are accepted after the subcommand; SUPPRESS keeps an unset
     # subcommand flag from clobbering a value parsed before the subcommand.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=positive_finite_float, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=non_negative_int, default=argparse.SUPPRESS)
-    common.add_argument("--samples", type=non_negative_int, default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="cmd", required=True)
 

@@ -29,7 +29,7 @@ from .errors import (
     UnknownConstraintTagError,
 )
 from .operators import complex_curvature_operator, complex_jacobi, ricci, star_ricci
-from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, cached_by_j, random_unit_vector, spanning_lines
+from .spaces import DEFAULT_TOL, ComplexStructure, _freeze, cached_by_j, spanning_lines
 from .tensors import (
     AlgebraicCurvatureTensor,
     ComplexModel,
@@ -330,38 +330,23 @@ def _require_compatible(model: ComplexModel, tol: float) -> None:
         )
 
 
-def check_vanhecke(
-    model: ComplexModel, trials: int = 32, seed: int = 0, tol: float = DEFAULT_TOL
-) -> IdentityReport:
+def check_vanhecke(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Polarization identity expressing 32 A(x,y,y,x) through Q and lambda values.
 
     Only claimed for compatible models, so incompatibility raises before any
     evaluation.  The defect at a pair is D(x, y) = T(x, y, x, y) for the sum T
-    of the ``vanhecke`` row.  On the basis pairs (e_i, e_j) that is the
-    diagonal T(i, j, i, j); with F holding the rows x_n (x) y_n of the
-    ``trials`` seeded random unit pairs, one product gives the rest:
-    D = rowsum((F @ T) * F).
+    of the ``vanhecke`` row, so D = S(x, y, x, y) for S, the mean of T over
+    x <-> z and y <-> w.  S is the one tensor with those two symmetries that
+    gives D, so D vanishes at every pair exactly when S vanishes at every
+    basis quadruple; the report is the worst entry of S, witnessed by its
+    quadruple.
     """
     _require_compatible(model, tol)
-    m = model.dim
     a = model.tensor.entries
-    defect = _defect("vanhecke", a, model.structure.matrix)
-    # the basis pairs (e_i, e_j) in row-major order, then one (x, y) per draw pair
-    values = [np.einsum("ijij->ij", defect).ravel()]
-    if trials:
-        rng = np.random.default_rng(seed)
-        draws = np.array([random_unit_vector(m, rng) for _ in range(2 * trials)]).reshape(trials, 2, m)
-        forms = (draws[:, 0, :, None] * draws[:, 1, None, :]).reshape(trials, m * m)
-        values.append(np.sum((forms @ defect.reshape(m * m, m * m)) * forms, axis=1))
-    residuals = np.abs(np.concatenate(values)) / _scale(a)
-    worst_at = int(np.argmax(residuals))
-    if worst_at < m * m:
-        eye = np.eye(m)
-        x, y = eye[worst_at // m], eye[worst_at % m]
-    else:
-        x, y = draws[worst_at - m * m]
-    witness = ("pair", tuple(x.tolist()), tuple(y.tolist()))
-    return _report("vanhecke", float(residuals[worst_at]), witness, tol, {"pairs": m * m + trials})
+    # dividing first keeps the two sums from overflowing, and is exact
+    s = _defect("vanhecke", a, model.structure.matrix) / 4.0
+    s = s + s.transpose(2, 1, 0, 3)
+    return _quadruple_report("vanhecke", s + s.transpose(0, 3, 2, 1), _scale(a), tol)
 
 
 @functools.lru_cache(maxsize=4)
@@ -505,26 +490,24 @@ def check_gray_yano(
     return _quadruple_report("gray-yano", defect, _scale(tensor.entries), tol)
 
 
-# The check catalogue behind ``curvlab check``: name -> (model, tol, seed,
-# samples) -> report.  Each entry looks its check up by module-level name at
-# call time, so rebinding a check function in this module also reroutes it.
-# The compatibility entry is the cached gate, so the checks that require a
+# The check catalogue behind ``curvlab check``: name -> (model, tol) -> report.
+# Each entry looks its check up by module-level name at call time, so
+# rebinding a check function in this module also reroutes it.  The
+# compatibility entry is the cached gate, so the checks that require a
 # compatible model reuse its run instead of repeating it.
-CHECKS: dict[str, Callable[..., IdentityReport]] = {
-    "symmetries": lambda model, tol, seed, samples: check_symmetries(model, tol),
-    "compatibility": lambda model, tol, seed, samples: _compatibility_gate(model, tol),
-    "vanhecke": lambda model, tol, seed, samples: check_vanhecke(model, trials=samples, seed=seed, tol=tol),
-    "sato1": lambda model, tol, seed, samples: check_sato(model, 1, tol=tol),
-    "sato2": lambda model, tol, seed, samples: check_sato(model, 2, tol=tol),
-    "lemma23": lambda model, tol, seed, samples: lemma23_battery(model, tol),
-    "gray-classify": lambda model, tol, seed, samples: gray_classify(model, tol),
-    "gray-yano": lambda model, tol, seed, samples: check_gray_yano(model.tensor, model.structure, tol),
+CHECKS: dict[str, Callable[[ComplexModel, float], IdentityReport]] = {
+    "symmetries": lambda model, tol: check_symmetries(model, tol),
+    "compatibility": lambda model, tol: _compatibility_gate(model, tol),
+    "vanhecke": lambda model, tol: check_vanhecke(model, tol),
+    "sato1": lambda model, tol: check_sato(model, 1, tol=tol),
+    "sato2": lambda model, tol: check_sato(model, 2, tol=tol),
+    "lemma23": lambda model, tol: lemma23_battery(model, tol),
+    "gray-classify": lambda model, tol: gray_classify(model, tol),
+    "gray-yano": lambda model, tol: check_gray_yano(model.tensor, model.structure, tol),
 }
 
 
-def run_check(
-    name: str, model: ComplexModel, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 0
-) -> IdentityReport:
+def run_check(name: str, model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Run the registered check ``name``.
 
     A model outside the identity's claim (not compatible, or Q not constant or
@@ -532,7 +515,7 @@ def run_check(
     witness ``("precondition", message)``.
     """
     try:
-        return CHECKS[name](model, tol, seed, samples)
+        return CHECKS[name](model, tol)
     except PreconditionError as exc:
         return _report(name, float("nan"), ("precondition", str(exc)), tol)
 

@@ -52,9 +52,13 @@ class ComplexStructure:
 def _require_orthogonal(mat: np.ndarray, name: str, tol: float) -> None:
     """Raise ``NotOrthogonalError`` unless max |M.T@M - I| <= tol.
 
-    An entry above sqrt(1 + tol) in magnitude alone breaks that bound, so it is
-    rejected before M.T@M is formed, where a huge entry would overflow.
+    A NaN or infinite entry raises ``NonFiniteEntryError``, as no comparison
+    below would reject a NaN.  An entry above sqrt(1 + tol) in magnitude alone
+    breaks the bound, so it is rejected before M.T@M is formed, where a huge
+    entry would overflow.
     """
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteEntryError(f"{name} must be finite; found NaN or infinity")
     largest = float(np.max(np.abs(mat)))
     if largest > math.sqrt(1.0 + tol):
         raise NotOrthogonalError(
@@ -156,8 +160,6 @@ def validate_complex_isometry(
         raise DimensionMismatchError(
             f"isometry is {mat.shape[0]}-dimensional, structure is {j_domain.dim}-dimensional"
         )
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteEntryError("an isometry must be finite; found NaN or infinity")
     _require_orthogonal(mat, "theta", tol)
     target = j_domain if j_target is None else j_target
     if target.dim != j_domain.dim:

@@ -82,10 +82,10 @@ def test_json_report_schema(tmp_path, capsys):
 def test_check_results_are_the_reports_json(tmp_path, capsys, kind):
     path = tmp_path / "model.json"
     run(capsys, "build", kind, "--m", "4", "--seed", "1", "--out", str(path))
-    flags = ["--output", "json", "--tol", "1e-10", "--seed", "2", "--samples", "3"]
+    flags = ["--output", "json", "--tol", "1e-10", "--seed", "2"]
     _, out, _ = run(capsys, *flags, "check", str(path), *CHECKS)
     model = load_model(path).model
-    expected = [run_check(name, model, 1e-10, 2, 3).to_json() for name in CHECKS]
+    expected = [run_check(name, model, 1e-10).to_json() for name in CHECKS]
     assert json.loads(out)["results"] == expected
 
 
@@ -259,7 +259,7 @@ _DEEP = "[" * 3000 + "]" * 3000  # more nesting than the JSON decoder recurses t
         ({"A": {"storage": "dense", "entries": "abc"}}, (), (), None),
         ({"J": [[0.0, -1e300], [1e300, 0.0]]}, (), (), None),
         ('{"dim": ' + _DEEP + "}", (), (), None),
-        (None, ("--samples", "-1"), (), None),
+        (None, ("--samples", "3"), (), None),  # no such option
         (None, ("--seed", "-1"), (), None),
         (None, ("--tol", "nan"), (), None),
         (None, ("--tol", "-1"), (), None),
@@ -520,9 +520,9 @@ def test_tolerance_env_read_on_every_call(tmp_path, monkeypatch, capsys):
     run(capsys, "build", "a0", "--m", "4", "--out", str(path))
     tols = []
 
-    def spy(name, model, tol, seed, samples):
+    def spy(name, model, tol):
         tols.append(tol)
-        return CHECKS[name](model, tol, seed, samples)
+        return CHECKS[name](model, tol)
 
     monkeypatch.setattr("curvlab.cli.run_check", spy)
     monkeypatch.setenv("CURVLAB_TOL", "1e-6")

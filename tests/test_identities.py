@@ -95,7 +95,7 @@ def test_single_condition_checks(fs_model):
 
 
 def test_vanhecke_on_fubini_study(fs_model):
-    rep = check_vanhecke(fs_model, trials=50, seed=1)
+    rep = check_vanhecke(fs_model)
     assert rep.holds
     assert rep.worst_residual < 1e-10
 
@@ -103,7 +103,7 @@ def test_vanhecke_on_fubini_study(fs_model):
 def test_vanhecke_on_random_compatible(j4):
     for seed in (3, 4):
         a = project_to_constraints(random_curvature_tensor(4, seed=seed), j4, ["a3"])
-        rep = check_vanhecke(ComplexModel(j4, a), trials=40, seed=seed)
+        rep = check_vanhecke(ComplexModel(j4, a))
         assert rep.holds
 
 
@@ -472,7 +472,7 @@ def _models_m4():
 def test_every_report_holds_iff_within_tolerance(kind):
     model = _models_m4()[kind]
     for name in CHECKS:
-        rep = run_check(name, model, seed=2, samples=3)
+        rep = run_check(name, model)
         subs = [v for v in (rep.details or {}).values() if isinstance(v, IdentityReport)]
         if name in ("compatibility", "lemma23"):
             assert len(subs) == (3 if name == "compatibility" else 4)
@@ -594,32 +594,72 @@ def _vanhecke_cases():
 _VANHECKE_CASES = _vanhecke_cases()
 
 
+def _vanhecke_symmetrized(row_sum):
+    """The mean of the row's sum T over x <-> z and y <-> w, term by term."""
+    t = row_sum
+    return (t + t.transpose(2, 1, 0, 3) + t.transpose(0, 3, 2, 1) + t.transpose(2, 3, 0, 1)) / 4.0
+
+
 @pytest.mark.parametrize("model", [c for _, c in _VANHECKE_CASES], ids=[n for n, _ in _VANHECKE_CASES])
 def test_vanhecke_row_matches_polarization_formula(model):
-    # at the certifying pairs of check_vanhecke (basis pairs, then seeded
-    # random ones), T(x, y, x, y) of the row's sum T against the written
-    # formula, both through plain loops; the report is the worst of them
+    # at the basis pairs and at seeded random ones, S(x, y, x, y) of the
+    # symmetrized row sum S against the written formula, both through plain
+    # loops; the report is the worst entry of S, and its witness quadruple
+    # (i, j, k, l) gives S(e_i, e_j, e_k, e_l) by polarizing the formula:
+    # S(a, c, b, d) = [D(a+b, c+d) - D(a-b, c+d) - D(a+b, c-d) + D(a-b, c-d)] / 16
     m, a, jmat = model.dim, model.tensor.entries, model.structure.matrix
     scale = 1.0 + float(np.max(np.abs(a)))
-    row_sum = identities._defect("vanhecke", a, jmat)
+    sym = _vanhecke_symmetrized(identities._defect("vanhecke", a, jmat))
+
+    def defect(x, y):
+        return IDENTITY_FORMULAS["vanhecke"](lambda *v: contract(a, *v), lambda v: jmat @ v, x, y)
+
     eye = np.eye(m)
     pairs = [(eye[i], eye[j]) for i in range(m) for j in range(m)]
     rng = np.random.default_rng(3)
     for _ in range(32):
         pairs.append((random_unit_vector(m, rng), random_unit_vector(m, rng)))
-    formula = []
     for x, y in pairs:
-        expected = IDENTITY_FORMULAS["vanhecke"](lambda *v: contract(a, *v), lambda v: jmat @ v, x, y)
-        assert abs(contract(row_sum, x, y, x, y) - expected) <= 1e-12 * scale
-        formula.append(abs(expected) / scale)
-    for trials in (0, 32):
-        rep = check_vanhecke(model, trials=trials, seed=3)
-        assert rep.holds
-        assert rep.details == {"pairs": m * m + trials}
-        assert abs(rep.worst_residual - max(formula[: m * m + trials])) <= 1e-12
-        x, y = (np.array(v) for v in rep.witness[1:])
-        assert rep.witness[0] == "pair"
-        assert any(np.array_equal(x, px) and np.array_equal(y, py) for px, py in pairs[: m * m + trials])
+        assert abs(contract(sym, x, y, x, y) - defect(x, y)) <= 1e-12 * scale
+    rep = check_vanhecke(model)
+    assert rep.holds
+    assert rep.details is None
+    assert abs(rep.worst_residual - float(np.max(np.abs(sym))) / scale) <= 1e-15
+    assert rep.witness[0] == "quadruple"
+    i, j, k, l = rep.witness[1:]
+    assert abs(sym[i, j, k, l]) == np.max(np.abs(sym))
+    ea, ec, eb, ed = eye[i], eye[j], eye[k], eye[l]
+    polarized = (
+        defect(ea + eb, ec + ed) - defect(ea - eb, ec + ed) - defect(ea + eb, ec - ed) + defect(ea - eb, ec - ed)
+    ) / 16.0
+    assert abs(sym[i, j, k, l] - polarized) <= 1e-12 * scale
+
+
+def test_vanhecke_sees_defects_off_the_basis_pairs(monkeypatch, fs_model):
+    # a defect at T(e0, e1, e2, e1) leaves every basis pair's D(e_i, e_j) =
+    # T(i, j, i, j) alone, yet D(e0 + e2, e1) sees it; the symmetrized row
+    # carries half of it at (0, 1, 2, 1), over the scale 1 + max|A| = 5
+    real = identities._defect
+
+    def patched(name, a, jmat):
+        total = real(name, a, jmat)
+        if name == "vanhecke":
+            total = total.copy()
+            total[0, 1, 2, 1] += 1e-3
+        return total
+
+    monkeypatch.setattr(identities, "_defect", patched)
+    a, jmat = fs_model.tensor.entries, fs_model.structure.matrix
+    row_sum = identities._defect("vanhecke", a, jmat)
+    diagonal = np.einsum("ijij->ij", row_sum)
+    assert np.array_equal(diagonal, np.einsum("ijij->ij", real("vanhecke", a, jmat)))
+    assert np.max(np.abs(diagonal)) < 1e-12
+    x, y = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+    assert contract(row_sum, x, y, x, y) == pytest.approx(1e-3, rel=1e-9)
+    rep = check_vanhecke(fs_model)
+    assert not rep.holds
+    assert rep.witness == ("quadruple", 0, 1, 2, 1)
+    assert rep.worst_residual == pytest.approx(1e-4, rel=1e-9)
 
 
 def test_vanhecke_row_is_no_constraint(fs_model, j4):

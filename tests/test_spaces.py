@@ -11,6 +11,7 @@ from curvlab import (
     DimensionMismatchError,
     DimensionNotMultipleOf4Error,
     InvalidVectorError,
+    NonFiniteEntryError,
     NotAntiInvolutionError,
     NotOrthogonalError,
     NotSquareError,
@@ -109,6 +110,21 @@ def test_huge_entries_rejected_before_overflow():
     with pytest.raises(NotOrthogonalError):
         pullback(1e300 * np.eye(4), build_A0(4))
     validate_complex_structure((1 + 1e-12) * j)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_maps_rejected(bad):
+    # no comparison rejects a NaN, so every orthogonality check tests finiteness first
+    theta = np.eye(4)
+    theta[0, 0] = bad
+    with pytest.raises(NonFiniteEntryError):
+        pullback(theta, build_A0(4))
+    with pytest.raises(NonFiniteEntryError):
+        validate_complex_isometry(theta, standard_complex_structure(4))
+    j = standard_complex_structure(4).matrix.copy()
+    j[0, 1] = bad
+    with pytest.raises(NonFiniteEntryError):
+        validate_complex_structure(j)
 
 
 def test_complex_isometry_validation():
