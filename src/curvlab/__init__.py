@@ -1,16 +1,15 @@
 """Algebraic curvature models with complex structure.
 
-Canonical and counterexample tensors, curvature-derived operators, exact
-verification of the compatibility/vanishing identity families on finite
-certifying sets, Gray-class membership, and reconstruction of curvature
-tensors from (complex) Jacobi-operator oracles.
+Canonical and counterexample tensors, the Jacobi, complex Jacobi and complex
+curvature operators, exact verification of the compatibility/vanishing
+identity families on finite certifying sets, Gray-class membership, and
+reconstruction of curvature tensors from (complex) Jacobi-operator oracles.
 """
 
 from .constructions import (
     ComplexJacobiOracle,
     JacobiOracle,
     counterexample_model,
-    discrepancy_audit,
     jacobi_equivalence_check,
     reconstruct_from_complex_jacobi,
     reconstruct_from_jacobi,
@@ -29,7 +28,6 @@ from .errors import (
     NonFiniteEntryError,
     NotAntiInvolutionError,
     NotCompatibleError,
-    NotInA3Error,
     NotOrthogonalError,
     NotSquareError,
     OddDimensionError,
@@ -50,7 +48,6 @@ from .identities import (
     check_vanhecke,
     gray_classify,
     lemma23_battery,
-    p2_map,
     run_check,
     subspace_dimension,
 )
@@ -58,8 +55,6 @@ from .modelio import ModelFile, load_model, save_model
 from .operators import (
     complex_curvature_operator,
     complex_jacobi,
-    curvature_operator,
-    holomorphic_sectional_curvature,
     jacobi,
     merged_spectrum,
     q_quartic,
@@ -73,8 +68,6 @@ from .spaces import (
     QuaternionTriple,
     build_quaternion_triple,
     complex_line,
-    random_orthogonal,
-    random_unit_vector,
     spanning_lines,
     standard_complex_structure,
     theta_map,
@@ -91,7 +84,6 @@ from .tensors import (
     curvature_space_dim,
     pullback,
     random_curvature_tensor,
-    tensor_inner_product,
     validate_or_project,
 )
 

@@ -32,7 +32,7 @@ from .errors import CurvlabError, InvalidVectorError
 from .identities import CHECKS, IdentityReport, run_check, subspace_dimension
 from .modelio import load_matrix, load_model, save_matrix, save_model
 from .operators import complex_jacobi, jacobi, merged_spectrum
-from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure
+from .spaces import DEFAULT_TOL, complex_line, spanning_lines, standard_complex_structure, validate_complex_structure
 from .tensors import (
     AlgebraicCurvatureTensor,
     ComplexModel,
@@ -209,8 +209,6 @@ def _cmd_subspace_dim(args):
     if args.j == "standard":
         structure = standard_complex_structure(args.m)
     else:
-        from .spaces import validate_complex_structure
-
         structure = validate_complex_structure(load_matrix(args.j, key="J"), tol=args.tol)
     tags = [t for t in args.constraints.split(",") if t] if args.constraints else []
     dim = subspace_dimension(tags, args.m, structure)

@@ -31,7 +31,6 @@ from .spaces import (
     ComplexLine,
     ComplexStructure,
     build_quaternion_triple,
-    complex_line,
     probe_vectors,
     spanning_lines,
     theta_map,
@@ -237,69 +236,3 @@ def jacobi_equivalence_check(
             "battery_holds": battery.holds,
         },
     )
-
-
-def discrepancy_audit(m: int = 4, seed: int = 0) -> dict:
-    """Brute-force cross-check of two tabulated operator values, reported, not asserted.
-
-    For the quaternionic model the coefficient c in J(x)Kx = c Kx at unit x is
-    recomputed by direct contraction, and for the twistor-point model the
-    complex Jacobi eigenvalue on Span{x, Jx} is recomputed the same way; both
-    are compared against the values the constructions are usually quoted with.
-    The remaining twistor eigenvalues (5 on the swapped quaternionic plane, 2
-    on the complement) are cross-checked as well.
-    """
-    rng = np.random.default_rng(seed)
-    triple = build_quaternion_triple(m)
-    counter = counterexample_model(m)
-    x = rng.standard_normal(m)
-    x /= np.linalg.norm(x)
-    kx = triple.j2.apply(x)
-    coeff = float(kx @ (jacobi(counter.tensor, x) @ kx))
-
-    twistor, _ = twistor_point_model(m)
-    line = complex_line(x, twistor.structure)
-    op = complex_jacobi(twistor.tensor, twistor.structure, line)
-    j2x = twistor.structure.apply(x)
-    plane_vals = (float(x @ (op @ x)), float(j2x @ (op @ j2x)))
-    j1x = triple.j1.apply(x)
-    j3x = triple.j3.apply(x)
-    swapped_vals = (float(j1x @ (op @ j1x)), float(j3x @ (op @ j3x)))
-    # Complement direction: orthogonalize a random vector against the quaternionic 4-plane.
-    comp_val = None
-    if m > 4:
-        v = rng.standard_normal(m)
-        for b in (x, j1x, j2x, j3x):
-            v -= (v @ b) * b
-        v /= np.linalg.norm(v)
-        comp_val = float(v @ (op @ v))
-    report = {
-        "jacobi_K_coefficient": {
-            "description": "coefficient c in J(x)Kx = c*Kx for the quaternionic model at unit x",
-            "computed": coeff,
-            "tabulated": 1.0,
-            "agrees": bool(abs(coeff - 1.0) <= 1e-8),
-        },
-        "twistor_plane_eigenvalue": {
-            "description": "complex Jacobi eigenvalue on Span{x, Jx} for the twistor-point model",
-            "computed": plane_vals[0],
-            "computed_at_Jx": plane_vals[1],
-            "tabulated": 4.0,
-            "agrees": bool(abs(plane_vals[0] - 4.0) <= 1e-8),
-        },
-        "twistor_swapped_plane_eigenvalue": {
-            "description": "complex Jacobi eigenvalue on the swapped quaternionic directions",
-            "computed": swapped_vals[0],
-            "computed_at_other": swapped_vals[1],
-            "tabulated": 5.0,
-            "agrees": bool(abs(swapped_vals[0] - 5.0) <= 1e-8),
-        },
-    }
-    if comp_val is not None:
-        report["twistor_complement_eigenvalue"] = {
-            "description": "complex Jacobi eigenvalue orthogonal to the quaternionic 4-plane",
-            "computed": comp_val,
-            "tabulated": 2.0,
-            "agrees": bool(abs(comp_val - 2.0) <= 1e-8),
-        }
-    return report

@@ -80,10 +80,6 @@ class EquivalenceViolationError(CurvlabError):
     """Conditions that are provably equivalent disagreed; an implementation bug."""
 
 
-class NotInA3Error(CurvlabError):
-    pass
-
-
 class UnknownConstraintTagError(CurvlabError):
     pass
 

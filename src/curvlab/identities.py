@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     EquivalenceViolationError,
     NotCompatibleError,
-    NotInA3Error,
     PreconditionError,
     QNotConstantError,
     QNotZeroError,
@@ -279,6 +278,19 @@ def _battery(name: str, conditions: list[IdentityReport], tol: float) -> Identit
     return _report(name, worst.worst_residual, worst.witness, tol, {cond.name: cond for cond in conditions})
 
 
+@functools.lru_cache(maxsize=8)
+def _line_stacks(model: ComplexModel) -> tuple:
+    """(lines, complex Jacobi stack, complex curvature stack) on the spanning
+    lines of the model, read-only and built once per model, so compatibility
+    and lemma23 share them; bounded as ``_compatibility_gate`` is."""
+    lines = spanning_lines(model.structure)
+    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines)
+    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines)
+    jacobi_ops.setflags(write=False)
+    curvature_ops.setflags(write=False)
+    return lines, jacobi_ops, curvature_ops
+
+
 def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Antisymmetry, pair swap and the first Bianchi identity on all basis quadruples.
 
@@ -303,10 +315,9 @@ def check_compatibility(model: ComplexModel, tol: float = DEFAULT_TOL) -> Identi
     a = model.tensor.entries
     jmat = model.structure.matrix
     scale = _scale(a)
-    lines = spanning_lines(model.structure)
+    lines, jacobi_ops, curvature_ops = _line_stacks(model)
     results = [_quadruple_report("condition_1", _defect("a3", a, jmat), scale, tol)]
-    for cond, operator in ((2, complex_jacobi), (3, complex_curvature_operator)):
-        ops = operator(model.tensor, model.structure, lines)
+    for cond, ops in ((2, jacobi_ops), (3, curvature_ops)):
         results.append(_line_report(f"condition_{cond}", lines, ops @ jmat - jmat @ ops, scale, tol))
     return _battery("compatibility", results, tol)
 
@@ -420,9 +431,7 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     a = model.tensor.entries
     jmat = model.structure.matrix
     scale = _scale(a)
-    lines = spanning_lines(model.structure)
-    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines)
-    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines)
+    lines, jacobi_ops, curvature_ops = _line_stacks(model)
     conditions = [
         _line_report("a_complex_jacobi_zero", lines, jacobi_ops, scale, tol),
         _quadruple_report("b_pairwise_J_flip", _defect("a2perp", a, jmat), scale, tol),
@@ -459,25 +468,6 @@ def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRepo
     residuals = {cls: _worst_entry(_defect(cls, a, jmat))[0] / scale for cls in ("a1", "a2", "a3", "a2perp")}
     membership = tuple((cls, bool(r <= tol)) for cls, r in residuals.items())
     return _report("gray-classify", residuals["a3"], membership, tol, residuals)
-
-
-def p2_map(model: ComplexModel, tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
-    """Averaging map (A + A(Jx,Jy,z,w) + A(Jx,y,Jz,w) + A(Jx,y,z,Jw)) / 2.
-
-    Defined on compatible tensors, where it is an involutive isometry whose
-    fixed space is the middle nested subspace and whose (-1)-eigenspace is the
-    flip subspace; outside the compatible space those properties fail, so the
-    caller must stay inside it.
-    """
-    a = model.tensor.entries
-    jmat = model.structure.matrix
-    residual = _worst_entry(_defect("a3", a, jmat))[0] / _scale(a)
-    if residual > tol:
-        raise NotInA3Error(
-            f"tensor is not compatible (residual {residual:.3e}); the map is only defined there"
-        )
-    # (A + the three J-pair images) / 2 is A minus half the a2 sum
-    return AlgebraicCurvatureTensor(_freeze(a - _defect("a2", a, jmat) / 2.0))
 
 
 def check_gray_yano(

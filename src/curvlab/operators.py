@@ -1,9 +1,9 @@
 """Operator- and scalar-valued contractions of a curvature tensor.
 
-Jacobi and complex Jacobi operators, curvature operators on planes, the Ricci
-and star-Ricci contractions, holomorphic sectional curvature, and spectrum
-reporting with merged multiplicities.  Every operator is returned as its
-m x m matrix, or for a sequence of L lines as the (L, m, m) stack.
+Jacobi and complex Jacobi operators, the complex curvature operator, the
+Ricci and star-Ricci contractions, the quartic Q(x) = A(x,Jx,Jx,x), and
+spectrum reporting with merged multiplicities.  Every operator is returned as
+its m x m matrix, or for a sequence of L lines as the (L, m, m) stack.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ from .spaces import ComplexLine, ComplexStructure, SpanningLines
 from .tensors import AlgebraicCurvatureTensor, _slot_image
 
 SPECTRUM_MERGE_TOL = 1e-8  # relative to the scale of merged_spectrum
-
-
-def _as_vector(x, m: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (m,):
-        raise DimensionMismatchError(f"vector of shape {v.shape} does not match dimension {m}")
-    return v
 
 
 def _check_structure(owner: ComplexStructure, structure: ComplexStructure) -> None:
@@ -68,7 +61,9 @@ def _curvature_stack(entries: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def jacobi(tensor: AlgebraicCurvatureTensor, x) -> np.ndarray:
     """Jacobi matrix M[a, b] = A(e_b, x, x, e_a); symmetric and annihilates x."""
-    v = _as_vector(x, tensor.dim)
+    v = np.asarray(x, dtype=float)
+    if v.shape != (tensor.dim,):
+        raise DimensionMismatchError(f"vector of shape {v.shape} does not match dimension {tensor.dim}")
     return _jacobi_stack(tensor.entries, np.outer(v, v))[0]
 
 
@@ -103,12 +98,6 @@ def complex_jacobi(
     """
     mats = _jacobi_stack(tensor.entries, _line_array(tensor, structure, line, "projector"))
     return mats[0] if isinstance(line, ComplexLine) else mats
-
-
-def curvature_operator(tensor: AlgebraicCurvatureTensor, x, y) -> np.ndarray:
-    """Matrix M with <M z, w> = A(x, y, z, w); antisymmetric."""
-    m = tensor.dim
-    return _curvature_stack(tensor.entries, np.outer(_as_vector(x, m), _as_vector(y, m)))[0]
 
 
 def complex_curvature_operator(
@@ -161,14 +150,6 @@ def q_quartic(tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, v) 
     mats = _jacobi_stack(tensor.entries, vj[:, :, None] * vj[:, None, :])  # J(Jv_n)
     values = np.sum(vs * (mats @ vs[:, :, None])[:, :, 0], axis=1)
     return float(values[0]) if v.ndim == 1 else values
-
-
-def holomorphic_sectional_curvature(
-    tensor: AlgebraicCurvatureTensor, structure: ComplexStructure, line
-) -> float | np.ndarray:
-    """Q of the line, evaluated at its unit representative; for a sequence of
-    lines, the array of their Q values, from one batch."""
-    return q_quartic(tensor, structure, _line_array(tensor, structure, line, "representative"))
 
 
 def merged_spectrum(

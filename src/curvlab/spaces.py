@@ -186,8 +186,9 @@ def theta_map(triple: QuaternionTriple) -> ComplexIsometry:
 class ComplexLine:
     """J-invariant 2-plane Span{x, Jx}, stored with a canonical unit representative.
 
-    Lines compare equal through their orthogonal projectors, never through the
-    representative: any unit vector in the plane spans the same line.
+    Two lines are the same when their orthogonal projectors agree within
+    ``LINE_EQ_TOL``, whatever their representatives: any unit vector in the
+    plane spans the same line.
     """
 
     representative: np.ndarray
@@ -198,13 +199,8 @@ class ComplexLine:
     def dim(self) -> int:
         return self.representative.shape[0]
 
-    def same_line(self, other: "ComplexLine", tol: float = LINE_EQ_TOL) -> bool:
-        if self.projector.shape != other.projector.shape:
-            return False
-        return float(np.max(np.abs(self.projector - other.projector))) <= tol
 
-
-def complex_line(vector, structure: ComplexStructure, tol: float = DEFAULT_TOL) -> ComplexLine:
+def complex_line(vector, structure: ComplexStructure) -> ComplexLine:
     """Build the line through ``vector``, normalizing and sign-canonicalizing it."""
     x = np.asarray(vector, dtype=float)
     if x.shape != (structure.dim,):
@@ -328,15 +324,3 @@ def spanning_lines(structure: ComplexStructure) -> SpanningLines:
     structures does not keep every structure's lines alive.
     """
     return cached_by_j(_lines_cache, 8, structure, lambda: _sweep(structure))
-
-
-def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized standard normal sample; rejection-free."""
-    v = rng.standard_normal(m)
-    return v / np.linalg.norm(v)
-
-
-def random_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish orthogonal matrix from a QR factorization with fixed sign convention."""
-    q, r = np.linalg.qr(rng.standard_normal((m, m)))
-    return q * np.sign(np.diag(r))

@@ -33,14 +33,6 @@ class AlgebraicCurvatureTensor:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def evaluate(self, x, y, z, w) -> float:
-        vecs = [np.asarray(v, dtype=float) for v in (x, y, z, w)]
-        if any(v.shape != (self.dim,) for v in vecs):
-            raise DimensionMismatchError(
-                f"vectors of shapes {[v.shape for v in vecs]} do not match dimension {self.dim}"
-            )
-        return float(np.einsum("ijkl,i,j,k,l->", self.entries, *vecs))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 
@@ -184,13 +176,6 @@ def build_APhi(phi) -> AlgebraicCurvatureTensor:
         - 2.0 * np.einsum("ij,kl->ijkl", p, p)
     )
     return AlgebraicCurvatureTensor(_freeze(entries))
-
-
-def tensor_inner_product(a: AlgebraicCurvatureTensor, b: AlgebraicCurvatureTensor) -> float:
-    """Full contraction over all index quadruples; basis independent."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    return float(np.dot(a.entries.ravel(), b.entries.ravel()))
 
 
 def pullback(theta, tensor: AlgebraicCurvatureTensor, tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:

@@ -1,10 +1,34 @@
-"""Brute-force oracles kept independent of the library's einsum code paths."""
+"""Brute-force oracles kept independent of the library's code paths, and seeded random fixtures."""
 
 import functools
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 RANK_TOL = 1e-8
+
+
+def load_repo_module(relative_path):
+    """The Python file at ``relative_path`` from the repository root, imported
+    by path: ``scripts/`` and ``curvbench/`` are not packages."""
+    path = Path(__file__).resolve().parents[1] / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def random_unit_vector(m, rng):
+    """A normalized standard normal sample."""
+    v = rng.standard_normal(m)
+    return v / np.linalg.norm(v)
+
+
+def random_orthogonal(m, rng):
+    """A Haar-distributed orthogonal matrix: the Q of a QR factorization, its signs fixed by R."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    return q * np.sign(np.diag(r))
 
 
 def contract(entries, x, y, z, w):
@@ -234,15 +258,16 @@ def complex_jacobi_min_norm_solve(oracle):
 
 
 def spanning_lines_loop(structure, with_mixed=False):
-    """Candidate-by-candidate spanning-line sweep with pairwise ``same_line`` deduplication.
+    """Candidate-by-candidate spanning-line sweep with pairwise deduplication.
 
     A reference for the library's array sweep: one ``complex_line`` per
-    probe e_i, then e_i + e_j, kept unless it equals a line kept before it.
+    probe e_i, then e_i + e_j, kept unless its projector is within
+    ``LINE_EQ_TOL`` of the projector of a line kept before it.
     With ``with_mixed`` each pair i < j also offers e_i + J e_j after
     e_i + e_j (degenerate ones skipped): the larger candidate set of earlier
     versions, kept as an oracle for the verdicts of the line conditions.
     """
-    from curvlab.spaces import complex_line
+    from curvlab.spaces import LINE_EQ_TOL, complex_line
 
     m = structure.dim
     eye = np.eye(m)
@@ -256,7 +281,7 @@ def spanning_lines_loop(structure, with_mixed=False):
     lines = []
     for vec in candidates:
         line = complex_line(vec, structure)
-        if not any(line.same_line(kept) for kept in lines):
+        if not any(np.max(np.abs(line.projector - kept.projector)) <= LINE_EQ_TOL for kept in lines):
             lines.append(line)
     return tuple(lines)
 

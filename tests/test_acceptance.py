@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from curvlab import (
-    AlgebraicCurvatureTensor,
     ComplexJacobiOracle,
     ComplexModel,
     IdentityReport,
@@ -19,15 +18,11 @@ from curvlab import (
     complex_jacobi,
     counterexample_model,
     curvature_space_basis,
-    discrepancy_audit,
     jacobi,
     lemma23_battery,
     merged_spectrum,
-    p2_map,
     pullback,
     random_curvature_tensor,
-    random_orthogonal,
-    random_unit_vector,
     reconstruct_from_complex_jacobi,
     reconstruct_from_jacobi,
     ricci,
@@ -35,12 +30,20 @@ from curvlab import (
     standard_complex_structure,
     star_ricci,
     subspace_dimension,
-    tensor_inner_product,
     twistor_point_model,
     validate_or_project,
 )
+from curvlab.identities import _defect
 from curvlab.spaces import build_quaternion_triple
-from helpers import project_to_constraints, spans_equal, subspace_tensor_basis, vanhecke_polarization
+from helpers import (
+    load_repo_module,
+    project_to_constraints,
+    random_orthogonal,
+    random_unit_vector,
+    spans_equal,
+    subspace_tensor_basis,
+    vanhecke_polarization,
+)
 
 
 def test_c01_curvature_space_dimensions():
@@ -52,7 +55,7 @@ def test_c01_curvature_space_dimensions():
 @pytest.mark.parametrize("m", [4, 8])
 def test_c02_counterexample_realization(m):
     model = counterexample_model(m)
-    norm_sq = tensor_inner_product(model.tensor, model.tensor)
+    norm_sq = np.vdot(model.tensor.entries, model.tensor.entries)
     assert norm_sq > 0
     report = lemma23_battery(model, tol=1e-12)
     assert report.holds
@@ -173,29 +176,22 @@ def test_c07_sato_identities():
 
 
 def test_c08_p2_involutive_isometry():
+    # P2(A) = (A + A(Jx,Jy,z,w) + A(Jx,y,Jz,w) + A(Jx,y,z,Jw)) / 2, which is A
+    # minus half the a2 row sum, on the compatible space a3
     j4 = standard_complex_structure(4)
     rows = subspace_tensor_basis(["a3"], 4, j4)
-    tensors = [AlgebraicCurvatureTensor(r.reshape(4, 4, 4, 4)) for r in rows]
-    images = [p2_map(ComplexModel(j4, t), tol=1e-10) for t in tensors]
-    worst_inv = 0.0
-    for t, p in zip(tensors, images):
-        again = p2_map(ComplexModel(j4, p), tol=1e-10)
-        worst_inv = max(worst_inv, (again - t).norm())
-    worst_iso = 0.0
-    for i in range(len(tensors)):
-        for j in range(i, len(tensors)):
-            worst_iso = max(
-                worst_iso,
-                abs(
-                    tensor_inner_product(images[i], images[j])
-                    - tensor_inner_product(tensors[i], tensors[j])
-                ),
-            )
+
+    def p2(flat):
+        a = flat.reshape(4, 4, 4, 4)
+        return (a - _defect("a2", a, j4.matrix) / 2.0).ravel()
+
+    images = np.array([p2(row) for row in rows])
+    worst_inv = max(float(np.linalg.norm(p2(image) - row)) for row, image in zip(rows, images))
+    worst_iso = float(np.max(np.abs(images @ images.T - rows @ rows.T)))
     assert worst_inv < 1e-10 and worst_iso < 1e-10
     # (-1)-eigenspace of the map on the compatible space equals the flip subspace
-    p_mat = np.array([[tensor_inner_product(images[j], tensors[i]) for j in range(len(tensors))]
-                      for i in range(len(tensors))])
-    _, svals, vh = np.linalg.svd(p_mat + np.eye(len(tensors)))
+    p_mat = rows @ images.T
+    _, svals, vh = np.linalg.svd(p_mat + np.eye(len(rows)))
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     minus_rows = vh[rank:] @ rows
     perp_rows = subspace_tensor_basis(["a2perp"], 4, j4)
@@ -257,7 +253,7 @@ def test_c10_jacobi_reconstruction_roundtrip():
 
 
 def test_c11_discrepancy_audit_report():
-    audit = discrepancy_audit(4)
+    audit = load_repo_module("scripts/discrepancy_audit.py").discrepancy_audit(4)
     coeff = audit["jacobi_K_coefficient"]
     plane = audit["twistor_plane_eigenvalue"]
     assert coeff["computed"] == pytest.approx(3.0, abs=1e-10)

@@ -11,7 +11,6 @@ from curvlab import (
     ComplexModel,
     IdentityReport,
     NotCompatibleError,
-    NotInA3Error,
     QNotConstantError,
     QNotZeroError,
     UnknownConstraintTagError,
@@ -26,16 +25,12 @@ from curvlab import (
     curvature_space_dim,
     gray_classify,
     lemma23_battery,
-    p2_map,
     pullback,
     q_quartic,
     random_curvature_tensor,
-    random_orthogonal,
-    random_unit_vector,
     run_check,
     standard_complex_structure,
     subspace_dimension,
-    tensor_inner_product,
     twistor_point_model,
     validate_complex_structure,
 )
@@ -50,6 +45,8 @@ from helpers import (
     contract,
     identity_defect_loop,
     project_to_constraints,
+    random_orthogonal,
+    random_unit_vector,
     spanning_lines_loop,
     spans_equal,
     subspace_tensor_basis,
@@ -249,35 +246,26 @@ def test_gray_chain_on_random_projections(j4):
             assert member["a3"]
 
 
+def _p2(entries, jmat):
+    """(A + A(Jx,Jy,z,w) + A(Jx,y,Jz,w) + A(Jx,y,z,Jw)) / 2: A minus half the a2 row sum."""
+    return entries - identities._defect("a2", entries, jmat) / 2.0
+
+
 def test_p2_fixes_a2_and_flips_a2perp(j4):
     for row in subspace_tensor_basis(["a2"], 4, j4):
-        t = AlgebraicCurvatureTensor(row.reshape(4, 4, 4, 4))
-        np.testing.assert_allclose(p2_map(ComplexModel(j4, t)).entries, t.entries, atol=1e-10)
+        t = row.reshape(4, 4, 4, 4)
+        np.testing.assert_allclose(_p2(t, j4.matrix), t, atol=1e-10)
     for row in subspace_tensor_basis(["a2perp"], 4, j4):
-        t = AlgebraicCurvatureTensor(row.reshape(4, 4, 4, 4))
-        np.testing.assert_allclose(p2_map(ComplexModel(j4, t)).entries, -t.entries, atol=1e-10)
+        t = row.reshape(4, 4, 4, 4)
+        np.testing.assert_allclose(_p2(t, j4.matrix), -t, atol=1e-10)
 
 
 def test_p2_involutive_isometry_on_a3(j4):
     rows = subspace_tensor_basis(["a3"], 4, j4)
-    images = []
-    for row in rows:
-        t = AlgebraicCurvatureTensor(row.reshape(4, 4, 4, 4))
-        p = p2_map(ComplexModel(j4, t))
-        images.append(p)
-        pp = p2_map(ComplexModel(j4, p))
-        np.testing.assert_allclose(pp.entries, t.entries, atol=1e-10)
-    tensors = [AlgebraicCurvatureTensor(r.reshape(4, 4, 4, 4)) for r in rows]
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            lhs = tensor_inner_product(images[i], images[j])
-            rhs = tensor_inner_product(tensors[i], tensors[j])
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_p2_rejects_incompatible_input(j4):
-    with pytest.raises(NotInA3Error):
-        p2_map(ComplexModel(j4, random_curvature_tensor(4, seed=17)))
+    images = np.array([_p2(row.reshape(4, 4, 4, 4), j4.matrix).ravel() for row in rows])
+    for row, image in zip(rows, images):
+        np.testing.assert_allclose(_p2(image.reshape(4, 4, 4, 4), j4.matrix).ravel(), row, atol=1e-10)
+    np.testing.assert_allclose(images @ images.T, rows @ rows.T, atol=1e-10)
 
 
 def test_gray_yano_identity(j4, fs_model):
@@ -407,6 +395,30 @@ def test_compatibility_gate_runs_once_per_check(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_line_stacks_are_built_once_per_model(monkeypatch, j4):
+    # compatibility and lemma23 read the same complex Jacobi and complex
+    # curvature stacks; a new model, even of the same tensor, builds its own
+    calls = []
+
+    def counting(operator):
+        def wrapper(*args):
+            calls.append(operator.__name__)
+            return operator(*args)
+
+        return wrapper
+
+    for operator in (identities.complex_jacobi, identities.complex_curvature_operator):
+        monkeypatch.setattr(identities, operator.__name__, counting(operator))
+    tensor = build_A0(4) + build_APhi(j4)
+    for model in (ComplexModel(j4, tensor), ComplexModel(j4, tensor)):
+        calls.clear()
+        assert check_compatibility(model).holds
+        assert not lemma23_battery(model).holds
+        assert sorted(calls) == ["complex_curvature_operator", "complex_jacobi"]
+        _, jacobi_ops, curvature_ops = identities._line_stacks(model)
+        assert not jacobi_ops.flags.writeable and not curvature_ops.flags.writeable
+
+
 def test_unknown_constraint_tag(j4):
     # rows of the identity table that are not constraint tags are unknown too
     for tag in ("nonsense", "hop-xy", "hop-yz", "sato2"):
@@ -483,7 +495,7 @@ def test_every_report_holds_iff_within_tolerance(kind):
 def _arranged_patterns():
     """Every slot pattern of the identity table other than A itself, in row order.
 
-    sato1 and p2_map are built from rows of the table, so they add none."""
+    sato1 is built from rows of the table, so it adds none."""
     seen = []
     for row in identities._ROWS.values():
         for _, args in row:
@@ -757,4 +769,6 @@ def test_line_verdicts_match_the_earlier_candidate_lines(m, monkeypatch):
         expected = verdicts(model)
         with monkeypatch.context() as patch:
             patch.setattr(identities, "spanning_lines", lambda s: spanning_lines_loop(s, with_mixed=True))
+            identities._line_stacks.cache_clear()  # or the stacks on the probe lines are read again
             assert verdicts(model) == expected
+        identities._line_stacks.cache_clear()

