@@ -55,7 +55,8 @@ def _emit(command: str, reports: list[IdentityReport], status: int, extra: dict,
     results = [report.to_json() for report in reports]
     if output == "json":
         doc = {"command": command, "results": results, "status": status, **extra}
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        # one line: any indent sends json through its pure-Python encoder
+        print(json.dumps(doc, sort_keys=True, allow_nan=False))
         return
     print(command)
     for report, res in zip(reports, results):

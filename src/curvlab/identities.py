@@ -7,6 +7,12 @@ worst normalized residual together with a witness that reproduces it.  The
 quartic Q(x) = A(x,Jx,Jx,x) behind the sato preconditions is decided exactly
 on R^m, from its symmetrized tensor.  Residuals are normalized by
 1 + max|A|, so pass/fail is scale free; the default tolerance is 1e-10.
+
+The checks of one ``curvlab check`` run share what they compute on the
+model's read-only tensor: its J-slot images, its scale 1 + max|A| and the
+worst entry of each row of ``_ROWS`` are kept with the last tensor only,
+the spanning-line stacks and their per-line maxima per model, and the
+symmetry residuals come from the strict loader (``tensors``).
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from .tensors import (
     AlgebraicCurvatureTensor,
     ComplexModel,
     _slot_image,
+    _symmetry_residuals_of,
     build_A0,
     build_APhi,
     curvature_space_basis,
-    symmetry_residuals,
 )
 
 
@@ -74,25 +80,31 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-# J-slot images of the last read-only tensor passed to ``arranged``:
-# that tensor and its J (held, so neither id can be reused by another array)
-# and, per ascending tuple S of slots, the read-only image with J on the slots
-# in S, its axes in slot order.
-_images: dict = {"entries": None, "jmat": None, "by_slots": {}}
+# What the checks share on the last read-only tensor they saw: that tensor
+# and its J (held, so neither id can be reused by another array); per
+# ascending tuple S of slots, the read-only image with J on the slots in S,
+# its axes in slot order; per row of ``_ROWS``, the worst entry of its sum;
+# and the scale 1 + max|A|.
+_images: dict = {"entries": None, "jmat": None, "by_slots": {}, "rows": {}, "scale": None}
 
 
-def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
-    """The image memo for this tensor, or None when its images must not be kept.
+def _memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
+    """``_images`` for this tensor, or None when nothing of it may be kept.
 
     Only read-only arrays (a tensor's frozen entries, a structure's matrix)
-    cannot change between calls.  A new tensor replaces the previous one's
-    images, so at most one set is alive.
+    cannot change between calls.  A new tensor replaces everything kept for
+    the previous one, so at most one tensor's products are alive.
     """
     if entries.flags.writeable or jmat.flags.writeable:
         return None
     if _images["entries"] is not entries or _images["jmat"] is not jmat:
-        _images.update(entries=entries, jmat=jmat, by_slots={})
-    return _images["by_slots"]
+        _images.update(entries=entries, jmat=jmat, by_slots={}, rows={}, scale=None)
+    return _images
+
+
+def _slot_memo(entries: np.ndarray, jmat: np.ndarray) -> dict | None:
+    memo = _memo(entries, jmat)
+    return None if memo is None else memo["by_slots"]
 
 
 def _slots(args: tuple[str, str, str, str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -159,25 +171,28 @@ _ROWS: dict[str, tuple[tuple[float, tuple[str, str, str, str]], ...]] = {
     # 3Q(x-Jy) - Q(x+y) - Q(x-y) - 4Q(x) - 4Q(y) + 4(5 lambda(x,y) +
     # lambda(x,Jy))], expanded over {x, Jx, y, Jy} with the second x-slot
     # renamed z and the second y-slot w; the pair 6A(y,Jy,Jy,y) - 6A(Jy,y,y,Jy)
-    # cancels by pair symmetry and is left out.  Unlike the rows above, this
-    # sum T does not vanish on compatible tensors (max|T| = 32 on Fubini-Study
-    # at m = 4): only its diagonal D(x, y) = T(x, y, x, y), equivalently its
-    # symmetrization under x <-> z, y <-> w, does.  So it is no constraint tag.
+    # cancels by pair symmetry and is left out.  The coefficients are a
+    # quarter of the expansion's (exact, as 4 is a power of two), so the check
+    # sums its four transposes without a division.  Unlike the rows above,
+    # this sum T does not vanish on compatible tensors (max|T| = 8 on
+    # Fubini-Study at m = 4): only its diagonal D(x, y) / 4 = T(x, y, x, y),
+    # equivalently its symmetrization under x <-> z, y <-> w, does.  So it is
+    # no constraint tag.
     "vanhecke": (
-        (6.0, ("x", "Jz", "y", "Jw")),
-        (2.0, ("x", "Jz", "Jy", "w")),
-        (6.0, ("x", "y", "Jz", "Jw")),
-        (6.0, ("x", "y", "w", "z")),
-        (20.0, ("x", "y", "Jw", "Jz")),
-        (2.0, ("x", "Jy", "Jz", "w")),
-        (-4.0, ("x", "Jy", "w", "Jz")),
-        (-2.0, ("x", "Jy", "Jw", "z")),
-        (2.0, ("y", "Jx", "Jz", "w")),
-        (2.0, ("y", "Jx", "Jw", "z")),
-        (2.0, ("y", "Jw", "Jx", "z")),
-        (-6.0, ("Jy", "Jx", "Jz", "Jw")),
-        (6.0, ("Jy", "Jx", "w", "z")),
-        (6.0, ("Jy", "w", "Jx", "z")),
+        (1.5, ("x", "Jz", "y", "Jw")),
+        (0.5, ("x", "Jz", "Jy", "w")),
+        (1.5, ("x", "y", "Jz", "Jw")),
+        (1.5, ("x", "y", "w", "z")),
+        (5.0, ("x", "y", "Jw", "Jz")),
+        (0.5, ("x", "Jy", "Jz", "w")),
+        (-1.0, ("x", "Jy", "w", "Jz")),
+        (-0.5, ("x", "Jy", "Jw", "z")),
+        (0.5, ("y", "Jx", "Jz", "w")),
+        (0.5, ("y", "Jx", "Jw", "z")),
+        (0.5, ("y", "Jw", "Jx", "z")),
+        (-1.5, ("Jy", "Jx", "Jz", "Jw")),
+        (1.5, ("Jy", "Jx", "w", "z")),
+        (1.5, ("Jy", "w", "Jx", "z")),
     ),
 }
 
@@ -235,6 +250,16 @@ def _scale(entries: np.ndarray) -> float:
     return 1.0 + float(np.max(np.abs(entries)))
 
 
+def _tensor_scale(a: np.ndarray, jmat: np.ndarray) -> float:
+    """``_scale(a)``, kept with the tensor's images."""
+    memo = _memo(a, jmat)
+    if memo is None:
+        return _scale(a)
+    if memo["scale"] is None:
+        memo["scale"] = _scale(a)
+    return memo["scale"]
+
+
 def _worst_entry(defect: np.ndarray) -> tuple[float, tuple[int, ...]]:
     magnitudes = np.abs(defect)
     flat = int(np.argmax(magnitudes))
@@ -242,24 +267,41 @@ def _worst_entry(defect: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(magnitudes.flat[flat]), tuple(int(v) for v in idx)
 
 
+def _row_worst(name: str, a: np.ndarray, jmat: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The worst entry of row ``name``'s sum, kept with the tensor's images,
+    so each row is summed once whichever checks read it."""
+    memo = _memo(a, jmat)
+    if memo is None:
+        return _worst_entry(_defect(name, a, jmat))
+    rows = memo["rows"]
+    if name not in rows:
+        rows[name] = _worst_entry(_defect(name, a, jmat))
+    return rows[name]
+
+
 def _report(name: str, worst: float, witness: tuple, tol: float, details=None) -> IdentityReport:
     """The verdict of a check or of one battery condition: it holds when worst <= tol."""
     return IdentityReport(name, bool(worst <= tol), worst, witness, tol, details)
 
 
-def _line_report(name: str, lines, stack: np.ndarray, scale: float, tol: float) -> IdentityReport:
-    """Worst normalized max-entry over an (L, m, m) stack; ties go to the last line."""
-    residuals = np.max(np.abs(stack), axis=(1, 2)) / scale
+def _line_maxima(stack: np.ndarray) -> np.ndarray:
+    """max|entry| of each operator of an (L, m, m) stack."""
+    return np.max(np.abs(stack), axis=(1, 2))
+
+
+def _line_report(name: str, lines, maxima: np.ndarray, scale: float, tol: float) -> IdentityReport:
+    """Worst normalized per-line maximum; ties go to the last line."""
+    residuals = maxima / scale
     index = len(lines) - 1 - int(np.argmax(residuals[::-1]))
     witness = ("line", index, tuple(lines[index].representative.tolist()))
     return _report(name, float(residuals[index]), witness, tol)
 
 
 def _quadruple_report(
-    name: str, defect: np.ndarray, scale: float, tol: float, details=None
+    name: str, worst_entry: tuple[float, tuple[int, ...]], scale: float, tol: float, details=None
 ) -> IdentityReport:
-    """Worst normalized entry of a defect tensor, witnessed by its quadruple."""
-    worst, quadruple = _worst_entry(defect)
+    """A defect tensor's worst entry, normalized and witnessed by its quadruple."""
+    worst, quadruple = worst_entry
     return _report(name, worst / scale, ("quadruple",) + quadruple, tol, details)
 
 
@@ -280,26 +322,32 @@ def _battery(name: str, conditions: list[IdentityReport], tol: float) -> Identit
 
 @functools.lru_cache(maxsize=8)
 def _line_stacks(model: ComplexModel) -> tuple:
-    """(lines, complex Jacobi stack, complex curvature stack) on the spanning
-    lines of the model, read-only and built once per model, so compatibility
-    and lemma23 share them; bounded as ``_compatibility_gate`` is."""
+    """(lines, complex Jacobi stack, complex curvature stack, and the per-line
+    maxima of the two stacks) on the spanning lines of the model, read-only
+    and built once per model, so compatibility and lemma23 share them;
+    bounded as ``_compatibility_gate`` is."""
     lines = spanning_lines(model.structure)
-    jacobi_ops = complex_jacobi(model.tensor, model.structure, lines)
-    curvature_ops = complex_curvature_operator(model.tensor, model.structure, lines)
-    jacobi_ops.setflags(write=False)
-    curvature_ops.setflags(write=False)
-    return lines, jacobi_ops, curvature_ops
+    stacks = (
+        complex_jacobi(model.tensor, model.structure, lines),
+        complex_curvature_operator(model.tensor, model.structure, lines),
+    )
+    kept = (*stacks, *(_line_maxima(ops) for ops in stacks))
+    for arr in kept:
+        arr.setflags(write=False)
+    return (lines, *kept)
 
 
 def check_symmetries(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
     """Antisymmetry, pair swap and the first Bianchi identity on all basis quadruples.
 
     The witness names the worst family and the quadruple where it is worst.
+    A tensor the strict loader validated brings its residuals along.
     """
-    residuals = symmetry_residuals(model.tensor.entries)
+    residuals = _symmetry_residuals_of(model.tensor)
     family = max(residuals, key=lambda k: residuals[k][0])
     worst, quadruple = residuals[family]
-    return _report("symmetries", worst / _scale(model.tensor.entries), (family,) + quadruple, tol)
+    scale = _tensor_scale(model.tensor.entries, model.structure.matrix)
+    return _report("symmetries", worst / scale, (family,) + quadruple, tol)
 
 
 def check_compatibility(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityReport:
@@ -314,11 +362,12 @@ def check_compatibility(model: ComplexModel, tol: float = DEFAULT_TOL) -> Identi
     """
     a = model.tensor.entries
     jmat = model.structure.matrix
-    scale = _scale(a)
-    lines, jacobi_ops, curvature_ops = _line_stacks(model)
-    results = [_quadruple_report("condition_1", _defect("a3", a, jmat), scale, tol)]
+    scale = _tensor_scale(a, jmat)
+    lines, jacobi_ops, curvature_ops, _, _ = _line_stacks(model)
+    results = [_quadruple_report("condition_1", _row_worst("a3", a, jmat), scale, tol)]
     for cond, ops in ((2, jacobi_ops), (3, curvature_ops)):
-        results.append(_line_report(f"condition_{cond}", lines, ops @ jmat - jmat @ ops, scale, tol))
+        commutator_maxima = _line_maxima(ops @ jmat - jmat @ ops)
+        results.append(_line_report(f"condition_{cond}", lines, commutator_maxima, scale, tol))
     return _battery("compatibility", results, tol)
 
 
@@ -353,11 +402,12 @@ def check_vanhecke(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRep
     quadruple.
     """
     _require_compatible(model, tol)
-    a = model.tensor.entries
-    # dividing first keeps the two sums from overflowing, and is exact
-    s = _defect("vanhecke", a, model.structure.matrix) / 4.0
+    a, jmat = model.tensor.entries, model.structure.matrix
+    # the row carries the mean's 1/4, which keeps the two sums from overflowing
+    s = _defect("vanhecke", a, jmat)
     s = s + s.transpose(2, 1, 0, 3)
-    return _quadruple_report("vanhecke", s + s.transpose(0, 3, 2, 1), _scale(a), tol)
+    s = s + s.transpose(0, 3, 2, 1)
+    return _quadruple_report("vanhecke", _worst_entry(s), _tensor_scale(a, jmat), tol)
 
 
 @functools.lru_cache(maxsize=4)
@@ -377,14 +427,15 @@ def _q_form(model: ComplexModel) -> tuple[float, float, float]:
     c = 3 sum_ik S_iikk / (m^2 + 2m), and Q = 0 exactly when S = 0.  Cached
     per model, so sato1 and sato2 share one run.
     """
-    m, a = model.dim, model.tensor.entries
+    m, a, jmat = model.dim, model.tensor.entries, model.structure.matrix
     # the 24 orders as three coset sums; dividing first keeps them from overflowing
-    s = arranged(a, model.structure.matrix, ("x", "Jy", "Jz", "w")) / 24.0
+    s = arranged(a, jmat, ("x", "Jy", "Jz", "w")) / 24.0
     s = s + s.transpose(0, 1, 3, 2)
     s = s + s.transpose(0, 2, 1, 3) + s.transpose(0, 3, 2, 1)
     s = s + s.transpose(1, 0, 2, 3) + s.transpose(2, 1, 0, 3) + s.transpose(3, 1, 2, 0)
     c = 3.0 * m / (m + 2) * float(np.sum(np.einsum("iikk->ik", s) / (m * m)))  # a mean, which cannot overflow
-    return c, float(np.max(np.abs(s - c * _sym_gg(m)))) / _scale(a), float(np.max(np.abs(s))) / _scale(a)
+    scale = _tensor_scale(a, jmat)
+    return c, float(np.max(np.abs(s - c * _sym_gg(m)))) / scale, float(np.max(np.abs(s))) / scale
 
 
 def check_sato(
@@ -400,19 +451,20 @@ def check_sato(
     measured c and the residual of the precondition, ``q_residual``.
     """
     _require_compatible(model, tol)
-    a = model.tensor.entries
+    a, jmat = model.tensor.entries, model.structure.matrix
     c_measured, off_constant, off_zero = _q_form(model)
+    scale = _tensor_scale(a, jmat)
     if variant == 1:
         if off_constant > tol:
             raise QNotConstantError(f"Q is not constant on R^m (residual {off_constant:.3e}); variant 1 needs it")
         c_used = c_measured if c is None else float(c)
-        defect = _sato1_defect(a, model.structure, c_used)
-        return _quadruple_report("sato1", defect, _scale(a), tol, {"c": c_used, "q_residual": off_constant})
+        worst = _worst_entry(_sato1_defect(a, model.structure, c_used))
+        return _quadruple_report("sato1", worst, scale, tol, {"c": c_used, "q_residual": off_constant})
     if variant == 2:
         if off_zero > tol:
             raise QNotZeroError(f"Q is not zero on R^m (residual {off_zero:.3e}); variant 2 needs it identically zero")
-        defect = _defect("sato2", a, model.structure.matrix)
-        return _quadruple_report("sato2", defect, _scale(a), tol, {"c": c_measured, "q_residual": off_zero})
+        worst = _row_worst("sato2", a, jmat)
+        return _quadruple_report("sato2", worst, scale, tol, {"c": c_measured, "q_residual": off_zero})
     raise ValueError(f"unknown variant {variant!r}, expected 1 or 2")
 
 
@@ -430,14 +482,14 @@ def lemma23_battery(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRe
     """
     a = model.tensor.entries
     jmat = model.structure.matrix
-    scale = _scale(a)
-    lines, jacobi_ops, curvature_ops = _line_stacks(model)
+    scale = _tensor_scale(a, jmat)
+    lines, _, _, jacobi_maxima, curvature_maxima = _line_stacks(model)
     conditions = [
-        _line_report("a_complex_jacobi_zero", lines, jacobi_ops, scale, tol),
-        _quadruple_report("b_pairwise_J_flip", _defect("a2perp", a, jmat), scale, tol),
-        _line_report("c_complex_curvature_zero", lines, curvature_ops, scale, tol),
+        _line_report("a_complex_jacobi_zero", lines, jacobi_maxima, scale, tol),
+        _quadruple_report("b_pairwise_J_flip", _row_worst("a2perp", a, jmat), scale, tol),
+        _line_report("c_complex_curvature_zero", lines, curvature_maxima, scale, tol),
     ]
-    hops = [_quadruple_report("d_slot_hopping", _defect(row, a, jmat), scale, tol) for row in ("hop-xy", "hop-yz")]
+    hops = [_quadruple_report("d_slot_hopping", _row_worst(row, a, jmat), scale, tol) for row in ("hop-xy", "hop-yz")]
     conditions.append(max(hops, key=lambda hop: hop.worst_residual))  # a tie goes to the first
     report = _battery("lemma23", conditions, tol)
     if not report.holds:
@@ -464,8 +516,8 @@ def gray_classify(model: ComplexModel, tol: float = DEFAULT_TOL) -> IdentityRepo
     """
     a = model.tensor.entries
     jmat = model.structure.matrix
-    scale = _scale(a)
-    residuals = {cls: _worst_entry(_defect(cls, a, jmat))[0] / scale for cls in ("a1", "a2", "a3", "a2perp")}
+    scale = _tensor_scale(a, jmat)
+    residuals = {cls: _row_worst(cls, a, jmat)[0] / scale for cls in ("a1", "a2", "a3", "a2perp")}
     membership = tuple((cls, bool(r <= tol)) for cls, r in residuals.items())
     return _report("gray-classify", residuals["a3"], membership, tol, residuals)
 
@@ -476,8 +528,8 @@ def check_gray_yano(
     """Eight-term identity satisfied by the curvature of the integrable and
     nearly-parallel classes; linear in A, so checking all basis quadruples is
     exhaustive."""
-    defect = _defect("gray-yano", tensor.entries, structure.matrix)
-    return _quadruple_report("gray-yano", defect, _scale(tensor.entries), tol)
+    a, jmat = tensor.entries, structure.matrix
+    return _quadruple_report("gray-yano", _row_worst("gray-yano", a, jmat), _tensor_scale(a, jmat), tol)
 
 
 # The check catalogue behind ``curvlab check``: name -> (model, tol) -> report.

@@ -20,6 +20,7 @@ from .spaces import (
     ComplexStructure,
     _freeze,
     _require_orthogonal,
+    cached_by_key,
     validate_complex_structure,
 )
 
@@ -122,13 +123,27 @@ def symmetry_residuals(entries: np.ndarray) -> dict[str, tuple[float, tuple[int,
     return out
 
 
+# tensor -> its symmetry residuals, for the last 8 tensors that strict
+# validation returned (held as keys, so no other tensor is taken for one)
+_validated: dict = {}
+
+
+def _symmetry_residuals_of(tensor: AlgebraicCurvatureTensor) -> dict:
+    """``symmetry_residuals`` of the tensor's entries, read from strict
+    validation when it returned this tensor."""
+    kept = _validated.get(tensor)
+    return symmetry_residuals(tensor.entries) if kept is None else kept
+
+
 def validate_or_project(raw, mode: str = "strict", tol: float = DEFAULT_TOL) -> AlgebraicCurvatureTensor:
     """Accept a rank-4 array as a curvature tensor, or project it onto the space of them.
 
     In strict mode the three symmetry families must hold within ``tol``
-    (relative to 1 + the largest entry); otherwise the orthogonal projection
-    onto the solution space of the symmetries is returned, which is idempotent
-    and the identity on already-valid input.
+    (relative to 1 + the largest entry); their residuals, taken on the
+    read-only entries the tensor gets, are kept with it for the symmetry
+    check.  Otherwise the orthogonal projection onto the solution space of
+    the symmetries is returned, which is idempotent and the identity on
+    already-valid input.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 4 or len(set(arr.shape)) != 1:
@@ -136,8 +151,9 @@ def validate_or_project(raw, mode: str = "strict", tol: float = DEFAULT_TOL) -> 
     if not np.all(np.isfinite(arr)):
         raise NonFiniteEntryError("curvature entries must be finite; found NaN or infinity")
     if mode == "strict":
-        scale = 1.0 + float(np.max(np.abs(arr))) if arr.size else 1.0
-        residuals = symmetry_residuals(arr)
+        entries = _freeze(arr)
+        scale = 1.0 + float(np.max(np.abs(entries))) if entries.size else 1.0
+        residuals = symmetry_residuals(entries)
         name = max(residuals, key=lambda k: residuals[k][0])
         worst, quadruple = residuals[name]
         if worst > tol * scale:
@@ -146,7 +162,9 @@ def validate_or_project(raw, mode: str = "strict", tol: float = DEFAULT_TOL) -> 
                 quadruple=quadruple,
                 residual=worst,
             )
-        return AlgebraicCurvatureTensor(_freeze(arr))
+        tensor = AlgebraicCurvatureTensor(entries)
+        cached_by_key(_validated, 8, tensor, lambda: residuals)
+        return tensor
     if mode == "project":
         return curvature_space_basis(arr.shape[0]).project(arr)
     raise ValueError(f"unknown mode {mode!r}, expected 'strict' or 'project'")

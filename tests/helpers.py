@@ -317,7 +317,7 @@ def vanhecke_polarization(A, J, x, y):
 # The identities written out one formula each, for A(x, y, z, w) given as a
 # callable and J as a map on vectors; each formula is zero exactly where its
 # identity holds.  All but vanhecke take a quadruple (x, y, z, w); vanhecke is
-# the pair identity D(x, y), whose row T gives it as T(x, y, x, y).
+# the pair identity D(x, y), whose row T gives it as 4T(x, y, x, y).
 IDENTITY_FORMULAS = {
     "a1": lambda A, J, x, y, z, w: A(x, y, z, w) - A(J(x), J(y), z, w),
     "a2": lambda A, J, x, y, z, w: (

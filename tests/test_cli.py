@@ -90,6 +90,31 @@ def test_check_results_are_the_reports_json(tmp_path, capsys, kind):
     assert json.loads(out)["results"] == expected
 
 
+def test_json_reports_print_on_one_line(tmp_path, capsys):
+    # every command prints its JSON object compact on one line, keys sorted
+    tw, twp, theta = (str(tmp_path / name) for name in ("tw.json", "twp.json", "theta.json"))
+    fs = str(tmp_path / "fs.json")
+    commands = [
+        ["build", "fubini-study", "--m", "4", "--out", fs],
+        ["build", "twistor", "--m", "4", "--out", tw, "--theta-out", theta, "--pullback-out", twp],
+        ["check", fs, *CHECKS],
+        ["spectra", fs],
+        ["spectra", tw, "--at", "1,0,0,0"],
+        ["reconstruct", tw, "--mode", "jacobi", "--out", str(tmp_path / "rj.json")],
+        ["reconstruct", tw, "--mode", "complex-jacobi", "--out", str(tmp_path / "rc.json")],
+        ["diff", tw, twp, "--theta", theta],
+        ["subspace-dim", "--m", "4", "--constraints", "a2perp"],
+    ]
+    for argv in commands:
+        _, out, _ = run(capsys, "--output", "json", *argv)
+        line, end = out.split("\n", 1) if "\n" in out else (out, None)
+        assert end == "", argv
+        assert line == json.dumps(json.loads(line), sort_keys=True, allow_nan=False), argv
+        if argv[0] == "check":
+            model = load_model(fs).model
+            assert json.loads(line)["results"] == [run_check(name, model).to_json() for name in CHECKS]
+
+
 def _text_results(out: str) -> list[tuple[str, str, str]]:
     """(name, mark, residual) of each result line of a text report."""
     return re.findall(r"^  (\S+) +(pass|FAIL)  residual (\S+)$", out, flags=re.MULTILINE)

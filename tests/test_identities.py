@@ -34,7 +34,7 @@ from curvlab import (
     twistor_point_model,
     validate_complex_structure,
 )
-from curvlab import identities
+from curvlab import identities, modelio
 from curvlab import tensors as tensor_layer
 from curvlab.cli import main
 from curvlab.identities import CONSTRAINT_TAGS
@@ -415,8 +415,45 @@ def test_line_stacks_are_built_once_per_model(monkeypatch, j4):
         assert check_compatibility(model).holds
         assert not lemma23_battery(model).holds
         assert sorted(calls) == ["complex_curvature_operator", "complex_jacobi"]
-        _, jacobi_ops, curvature_ops = identities._line_stacks(model)
+        _, jacobi_ops, curvature_ops, jacobi_maxima, curvature_maxima = identities._line_stacks(model)
         assert not jacobi_ops.flags.writeable and not curvature_ops.flags.writeable
+        assert not jacobi_maxima.flags.writeable and not curvature_maxima.flags.writeable
+        assert np.array_equal(jacobi_maxima, np.max(np.abs(jacobi_ops), axis=(1, 2)))
+        assert np.array_equal(curvature_maxima, np.max(np.abs(curvature_ops), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("kind", ["fubini-study", "twistor", "random"])
+def test_one_check_run_computes_each_shared_product_once(monkeypatch, tmp_path, capsys, kind):
+    # on a freshly loaded model, all eight checks sum each identity row once
+    # (a2perp serves lemma23 and gray-classify, a3 compatibility and
+    # gray-classify), take max|A| once, and read the symmetry residuals that
+    # the loader computed
+    path = tmp_path / "model.json"
+    main(["build", kind, "--m", "4", "--seed", "5", "--out", str(path)])
+    monkeypatch.setattr(modelio, "_loaded", {})  # or an earlier load of the same bytes is reused
+    calls = {}
+
+    def spy(module, name):
+        real = getattr(module, name)
+        calls[name] = []
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(identities, "_defect")
+    spy(tensor_layer, "symmetry_residuals")
+    spy(identities, "_scale")
+    main(["check", str(path), *CHECKS])
+    capsys.readouterr()
+    rows = [args[0] for args in calls["_defect"]]
+    assert rows.count("a2perp") == 1
+    assert sorted(set(rows)) == sorted(rows), rows
+    [(entries,)] = calls["symmetry_residuals"]
+    assert not entries.flags.writeable
+    assert len(calls["_scale"]) == 1
 
 
 def test_unknown_constraint_tag(j4):
@@ -607,9 +644,10 @@ _VANHECKE_CASES = _vanhecke_cases()
 
 
 def _vanhecke_symmetrized(row_sum):
-    """The mean of the row's sum T over x <-> z and y <-> w, term by term."""
+    """The mean of 4T over x <-> z and y <-> w, term by term: the row's
+    coefficients are a quarter of the expansion's, so D(x, y) = 4T(x, y, x, y)."""
     t = row_sum
-    return (t + t.transpose(2, 1, 0, 3) + t.transpose(0, 3, 2, 1) + t.transpose(2, 3, 0, 1)) / 4.0
+    return t + t.transpose(2, 1, 0, 3) + t.transpose(0, 3, 2, 1) + t.transpose(2, 3, 0, 1)
 
 
 @pytest.mark.parametrize("model", [c for _, c in _VANHECKE_CASES], ids=[n for n, _ in _VANHECKE_CASES])
@@ -649,15 +687,15 @@ def test_vanhecke_row_matches_polarization_formula(model):
 
 def test_vanhecke_sees_defects_off_the_basis_pairs(monkeypatch, fs_model):
     # a defect at T(e0, e1, e2, e1) leaves every basis pair's D(e_i, e_j) =
-    # T(i, j, i, j) alone, yet D(e0 + e2, e1) sees it; the symmetrized row
-    # carries half of it at (0, 1, 2, 1), over the scale 1 + max|A| = 5
+    # 4T(i, j, i, j) alone, yet D(e0 + e2, e1) sees it; the symmetrized row
+    # carries twice the defect of T at (0, 1, 2, 1), over the scale 1 + max|A| = 5
     real = identities._defect
 
     def patched(name, a, jmat):
         total = real(name, a, jmat)
         if name == "vanhecke":
             total = total.copy()
-            total[0, 1, 2, 1] += 1e-3
+            total[0, 1, 2, 1] += 2.5e-4
         return total
 
     monkeypatch.setattr(identities, "_defect", patched)
@@ -667,7 +705,7 @@ def test_vanhecke_sees_defects_off_the_basis_pairs(monkeypatch, fs_model):
     assert np.array_equal(diagonal, np.einsum("ijij->ij", real("vanhecke", a, jmat)))
     assert np.max(np.abs(diagonal)) < 1e-12
     x, y = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
-    assert contract(row_sum, x, y, x, y) == pytest.approx(1e-3, rel=1e-9)
+    assert 4.0 * contract(row_sum, x, y, x, y) == pytest.approx(1e-3, rel=1e-9)
     rep = check_vanhecke(fs_model)
     assert not rep.holds
     assert rep.witness == ("quadruple", 0, 1, 2, 1)
@@ -676,8 +714,8 @@ def test_vanhecke_sees_defects_off_the_basis_pairs(monkeypatch, fs_model):
 
 def test_vanhecke_row_is_no_constraint(fs_model, j4):
     # only the diagonal T(x, y, x, y) of the row's sum vanishes on compatible
-    # tensors, not the sum itself, so it cuts out no subspace
-    assert np.max(np.abs(identities._defect("vanhecke", fs_model.tensor.entries, j4.matrix))) == 32.0
+    # tensors, not the sum itself, so it cuts out no subspace; the row is D / 4
+    assert np.max(np.abs(identities._defect("vanhecke", fs_model.tensor.entries, j4.matrix))) == 8.0
     with pytest.raises(UnknownConstraintTagError):
         subspace_dimension(["vanhecke"], 4, j4)
 
@@ -719,18 +757,70 @@ def test_shared_slot_images_match_loop_oracle(monkeypatch):
 
 
 def test_checking_a_second_model_drops_the_first_images():
+    # the first model's images, row results and scale all go with it
     j4 = standard_complex_structure(4)
     first = ComplexModel(j4, build_A0(4) + build_APhi(j4))
     for name in CHECKS:
         run_check(name, first)
     images = [weakref.ref(image) for image in identities._images["by_slots"].values()]
     assert images
+    rows = identities._images["rows"]
+    assert set(rows) >= {"a1", "a2", "a3", "a2perp", "gray-yano"}
+    assert identities._images["scale"] == 1.0 + np.max(np.abs(first.tensor.entries))
     second = counterexample_model(4)
     for name in CHECKS:
         run_check(name, second)
     assert identities._images["entries"] is second.tensor.entries
+    assert identities._images["rows"] is not rows
+    a, jmat = np.array(second.tensor.entries), second.structure.matrix  # a writeable copy is never memoized
+    for name, worst in identities._images["rows"].items():
+        assert worst == identities._worst_entry(identities._defect(name, a, jmat)), name
+    assert identities._images["scale"] == 1.0 + np.max(np.abs(a))
     gc.collect()
     assert all(ref() is None for ref in images)
+
+
+def _report_fields(report):
+    """Everything a report says, its sub-reports included, NaN made comparable."""
+    residual = None if np.isnan(report.worst_residual) else report.worst_residual
+    details = report.details
+    if details is not None:
+        details = {k: _report_fields(v) if isinstance(v, IdentityReport) else v for k, v in details.items()}
+    return report.name, report.holds, residual, report.witness, report.tolerance, details
+
+
+def _uncached_reports(model):
+    """The eight reports on a copy of the model with writeable entries, which
+    no memo keeps: each row is summed by ``_defect`` and read by ``_worst_entry``
+    on the spot, and the copy is a new model for every per-model cache."""
+    copy = ComplexModel(model.structure, AlgebraicCurvatureTensor(np.array(model.tensor.entries)))
+    return [_report_fields(run_check(name, copy)) for name in CHECKS]
+
+
+def test_shared_products_are_never_stale():
+    # the memo holds one tensor at a time: models A, B and A again, A's
+    # entries with another J, and writeable entries (changed in place between
+    # two models over the same array) all get what a fresh run computes
+    j4 = standard_complex_structure(4)
+    model_a = ComplexModel(j4, build_A0(4) + build_APhi(j4))
+    model_b = twistor_point_model(4)[0]
+    turned = validate_complex_structure(_rotated_j4())
+    writeable = np.array(counterexample_model(4).tensor.entries + random_curvature_tensor(4, seed=3).entries)
+    sequence = [
+        model_a,
+        model_b,
+        model_a,
+        ComplexModel(turned, model_a.tensor),
+        ComplexModel(j4, AlgebraicCurvatureTensor(writeable)),
+    ]
+    for model in sequence:
+        assert [_report_fields(run_check(name, model)) for name in CHECKS] == _uncached_reports(model)
+    assert identities._images["entries"] is model_a.tensor.entries
+    assert identities._images["jmat"] is turned.matrix
+    writeable *= 2.0
+    model = ComplexModel(j4, AlgebraicCurvatureTensor(writeable))
+    assert [_report_fields(run_check(name, model)) for name in CHECKS] == _uncached_reports(model)
+    assert identities._images["entries"] is model_a.tensor.entries
 
 
 def _line_check_models(m):
